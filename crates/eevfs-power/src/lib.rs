@@ -21,9 +21,11 @@
 //!   start/stop-cycle cap: once a disk exhausts its budget the plane
 //!   refuses further sleeps rather than wear the drive out.
 //! * [`PolicyPlane`] — the per-run assembly of all of the above, built
-//!   from a [`PowerPolicy`] config; the `eevfs` driver consults it on the
-//!   read path (tier lookups) and at every idle/wake edge (predictor
-//!   decisions, budget charging, payoff feedback).
+//!   from a [`PowerPolicy`] config, or around prebuilt predictors (the
+//!   `eevfs` crate's hint-driven paper policy) with no tiers or caps. The
+//!   `eevfs` driver takes every sleep decision through it and consults it
+//!   on the read path (tier lookups) and at every idle/wake edge
+//!   (predictor decisions, budget charging, payoff feedback).
 //!
 //! A run that carries a `PolicyPlane` remains a pure function of its
 //! inputs: every random choice (bandit exploration, LFU sampling) draws

@@ -130,7 +130,7 @@ struct DiskPolicy {
 /// Indexed by `(node, disk)` for power decisions and by `node` for tier
 /// lookups (tiers are node-local, like the buffer disk they sit above).
 pub struct PolicyPlane {
-    policy: PowerPolicy,
+    tier: TierConfig,
     disks: Vec<Vec<DiskPolicy>>,
     dram: Vec<Box<dyn CacheTier>>,
     ssd: Vec<Box<dyn CacheTier>>,
@@ -139,80 +139,100 @@ pub struct PolicyPlane {
 impl std::fmt::Debug for PolicyPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PolicyPlane")
-            .field("policy", &self.policy)
+            .field("tier", &self.tier)
             .field("nodes", &self.disks.len())
             .finish()
     }
 }
 
 impl PolicyPlane {
+    /// Builds a plane around prebuilt predictors, `predictors[node][disk]`
+    /// per data disk, with no cache tiers and unlimited spin budgets.
+    pub fn from_predictors(predictors: Vec<Vec<Box<dyn IdlePredictor>>>) -> Self {
+        let disks = predictors
+            .into_iter()
+            .map(|node| {
+                node.into_iter()
+                    .map(|predictor| DiskPolicy {
+                        predictor,
+                        budget: SpinBudget::unlimited(),
+                    })
+                    .collect()
+            })
+            .collect();
+        PolicyPlane {
+            tier: TierConfig::none(),
+            disks,
+            dram: Vec::new(),
+            ssd: Vec::new(),
+        }
+    }
+
     /// Builds the plane for a cluster where node `n` has
     /// `data_disks[n].len()` data disks with the given per-disk breakeven
     /// times.
     pub fn new(policy: PowerPolicy, breakeven: &[Vec<SimDuration>]) -> Self {
-        let disks = breakeven
+        let predictors = breakeven
             .iter()
             .enumerate()
             .map(|(n, node_be)| {
                 node_be
                     .iter()
                     .enumerate()
-                    .map(|(d, &be)| DiskPolicy {
-                        predictor: policy
+                    .map(|(d, &be)| {
+                        policy
                             .predictor
-                            .build(be, mix_seed(policy.seed, n as u32, d as u32, 1)),
-                        budget: match policy.spin_cycle_cap {
-                            Some(cap) => SpinBudget::new(cap),
-                            None => SpinBudget::unlimited(),
-                        },
+                            .build(be, mix_seed(policy.seed, n as u32, d as u32, 1))
                     })
                     .collect()
             })
             .collect();
-        let nodes = breakeven.len();
-        let dram = (0..nodes)
-            .map(|n| {
-                policy.tier.policy.build(
-                    policy.tier.dram_bytes,
-                    mix_seed(policy.seed, n as u32, 0, 2),
-                )
-            })
-            .collect();
-        let ssd = (0..nodes)
+        let mut plane = Self::from_predictors(predictors);
+        if let Some(cap) = policy.spin_cycle_cap {
+            for dp in plane.disks.iter_mut().flatten() {
+                dp.budget = SpinBudget::new(cap);
+            }
+        }
+        let nodes = breakeven.len() as u32;
+        plane.dram = (0..nodes)
             .map(|n| {
                 policy
                     .tier
                     .policy
-                    .build(policy.tier.ssd_bytes, mix_seed(policy.seed, n as u32, 0, 3))
+                    .build(policy.tier.dram_bytes, mix_seed(policy.seed, n, 0, 2))
             })
             .collect();
-        PolicyPlane {
-            policy,
-            disks,
-            dram,
-            ssd,
-        }
-    }
-
-    /// The policy this plane was built from.
-    pub fn policy(&self) -> &PowerPolicy {
-        &self.policy
+        plane.ssd = (0..nodes)
+            .map(|n| {
+                policy
+                    .tier
+                    .policy
+                    .build(policy.tier.ssd_bytes, mix_seed(policy.seed, n, 0, 3))
+            })
+            .collect();
+        plane.tier = policy.tier;
+        plane
     }
 
     /// Whether the DRAM tier is enabled.
     pub fn has_dram(&self) -> bool {
-        self.policy.tier.dram_bytes > 0
+        self.tier.dram_bytes > 0
     }
 
     /// Whether the SSD buffer tier is enabled (the driver instantiates an
     /// `ssd_buffer` disk per node when true).
     pub fn has_ssd(&self) -> bool {
-        self.policy.tier.ssd_bytes > 0
+        self.tier.ssd_bytes > 0
     }
 
     /// Predictor verdict for a disk that went idle at `now`.
     pub fn on_idle(&mut self, node: usize, disk: usize, now: SimTime) -> IdleVerdict {
         self.disks[node][disk].predictor.on_idle(now)
+    }
+
+    /// Reports an expected physical touch of a disk to its predictor.
+    pub fn on_expected_touch(&mut self, node: usize, disk: usize) {
+        self.disks[node][disk].predictor.on_expected_touch();
     }
 
     /// Whether an expired idle timer should still put the disk down.
@@ -340,6 +360,23 @@ mod tests {
         assert!(!plane.has_ssd());
         assert!(!plane.dram_lookup(0, 7));
         // Disabled tiers count nothing.
+        assert_eq!(plane.stats(), TierStats::default());
+    }
+
+    #[test]
+    fn prebuilt_predictors_get_no_tiers_and_no_caps() {
+        use crate::predictor::FixedThreshold;
+        let five = SimDuration::from_secs(5);
+        let mut plane = PolicyPlane::from_predictors(vec![vec![
+            Box::new(FixedThreshold::new(five)) as Box<dyn IdlePredictor>,
+        ]]);
+        assert_eq!(plane.on_idle(0, 0, SimTime::ZERO), IdleVerdict::After(five));
+        plane.on_expected_touch(0, 0); // default hook: no effect
+        assert!(!plane.has_dram() && !plane.has_ssd());
+        assert!(!plane.dram_lookup(0, 7));
+        plane.admit(0, 7, 4096, true);
+        assert!(!plane.ssd_lookup(0, 7));
+        assert!((0..1000).all(|_| plane.try_charge_spin(0, 0)));
         assert_eq!(plane.stats(), TierStats::default());
     }
 

@@ -39,8 +39,14 @@ pub trait IdlePredictor: std::fmt::Debug {
     /// Short policy name for reports.
     fn name(&self) -> &'static str;
 
-    /// Called once when the disk goes idle at `now`.
+    /// Called once when the disk goes idle at `now`. `now` is read on the
+    /// clock of the expected access pattern: under closed-loop replay the
+    /// driver subtracts how far actual time has run ahead of the trace.
     fn on_idle(&mut self, now: SimTime) -> IdleVerdict;
+
+    /// Reports that a physical touch the expected access pattern predicted
+    /// has arrived on the disk.
+    fn on_expected_touch(&mut self) {}
 
     /// Reports a realised idle gap on the disk (previous busy end to this
     /// access), slept through or not. Zero-length gaps (arrivals during a

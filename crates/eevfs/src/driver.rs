@@ -11,7 +11,7 @@
 //!    buffer disks (data-disk reads + buffer-disk log writes), and the
 //!    trace replay starts once the warm-up completes.
 //! 4. **Hints** — the expected per-disk access pattern is handed to the
-//!    power manager.
+//!    power manager (the `eevfs-power` policy plane).
 //! 5. **Requests** — clients submit; the server resolves file → node and
 //!    forwards (a serialised stage).
 //! 6. **Responses** — the node serves from buffer or data disk and streams
@@ -38,7 +38,6 @@ use crate::metrics::{
 };
 use crate::overload::AdmissionGate;
 use crate::placement::{place, PlacementPlan};
-use crate::power::{DiskPredictor, PowerManager, SleepDecision};
 use crate::prefetch::{plan_topk, predict_benefit, PrefetchPlan};
 use crate::replication::{replicate, select_replica, Choice, ReplicaPlan, Selected};
 use crate::scrub::{ScrubPolicy, Scrubber};
@@ -210,19 +209,10 @@ enum Ev {
     },
 }
 
-/// What the policy plane decided at a sleep check — computed while the
-/// plane is borrowed, acted on after the borrow ends.
-enum PlaneAct {
-    Sleep,
-    Recheck(SimDuration),
-    Nothing,
-}
-
 struct ClusterSim {
     cfg: EevfsConfig,
     server: StorageServer,
     nodes: Vec<NodeState>,
-    power: PowerManager,
     placement: PlacementPlan,
     replicas: ReplicaPlan,
     health: HealthTracker,
@@ -265,11 +255,18 @@ struct ClusterSim {
     /// Corruption/scrub/journal state; `None` leaves the legacy paths
     /// untouched.
     dur: Option<DurState>,
-    /// Adaptive power/caching policy plane (`eevfs-power`). When present
-    /// it supersedes `power` for every sleep decision and fronts the read
-    /// path with DRAM/SSD tier lookups; `None` leaves the legacy paths
-    /// bit-identical.
+    /// Power/caching policy plane (`eevfs-power`): takes every sleep
+    /// decision and fronts the read path with any DRAM/SSD tier lookups.
+    /// Built from the supplied `PowerPolicy`, else from the config
+    /// ([`crate::power::plane_for`]); `None` when the run never sleeps a
+    /// disk, which then arms no sleep checks at all.
     plane: Option<PolicyPlane>,
+    /// How far actual time runs ahead of the expected access pattern's
+    /// clock: zero under open-loop replay, updated at every issue under
+    /// closed loop. Predictors read `now - drift`, so predicted touch
+    /// times stay meaningful ("two more think-times from now", not an
+    /// absolute timestamp that queueing has already invalidated).
+    drift: SimDuration,
     /// Overload control plane — the *same* [`AdmissionGate`] struct the
     /// prototype's server runs, observed in event order. `None` leaves
     /// the legacy unbounded admission bit-identical.
@@ -323,19 +320,15 @@ impl ClusterSim {
     /// Slept-through windows are skipped here — [`Self::note_wake`] scores
     /// those through the prediction ledger, which the plane also sees.
     fn feed_idle_gap(&mut self, node: usize, disk: usize, now: SimTime) {
-        if self.plane.is_none() {
+        let Some(plane) = self.plane.as_mut() else {
             return;
-        }
+        };
         let d = &self.nodes[node].data_disks[disk];
         let prev_busy = d.busy_until();
         if d.is_sleeping() || now <= prev_busy {
             return;
         }
-        let gap = now.since(prev_busy);
-        self.plane
-            .as_mut()
-            .expect("checked above")
-            .on_access(node, disk, gap);
+        plane.on_access(node, disk, now.since(prev_busy));
     }
 
     /// Records a trace event when observability is on.
@@ -370,12 +363,11 @@ impl ClusterSim {
     /// Books a sleep decision: opens a prediction-ledger window and emits
     /// the trace event carrying the predicted window and breakeven time.
     fn note_sleep(&mut self, node: usize, disk: usize, now: SimTime) {
-        // With a policy plane, the plane's predictor owns the estimate
-        // the ledger scores; otherwise the touch-list predictor does.
-        let predicted = match self.plane.as_ref() {
-            Some(p) => p.predicted_idle(node, disk),
-            None => self.power.predicted_window(node, disk, now),
-        };
+        // The deciding predictor's estimate is what the ledger scores.
+        let predicted = self
+            .plane
+            .as_ref()
+            .and_then(|p| p.predicted_idle(node, disk));
         let breakeven = self.breakeven[node][disk];
         self.pred
             .on_sleep(node as u32, disk as u32, now, predicted, breakeven);
@@ -419,12 +411,15 @@ impl ClusterSim {
     /// Advances the predictor for a predicted physical access (all disks
     /// of the node under striping).
     fn consume_predicted(&mut self, node: usize, home_disk: usize) {
+        let Some(plane) = self.plane.as_mut() else {
+            return;
+        };
         if self.cfg.striping {
             for d in 0..self.nodes[node].data_disks.len() {
-                self.power.on_predicted_request(node, d);
+                plane.on_expected_touch(node, d);
             }
         } else {
-            self.power.on_predicted_request(node, home_disk);
+            plane.on_expected_touch(node, home_disk);
         }
     }
 
@@ -441,7 +436,7 @@ impl ClusterSim {
 
     /// Schedules the power check that follows any data-disk activity.
     fn arm_sleep_check(&mut self, node: usize, disk: usize, queue: &mut EventQueue<Ev>) {
-        if !self.power.engaged() && self.plane.is_none() {
+        if self.plane.is_none() {
             return;
         }
         let d = &self.nodes[node].data_disks[disk];
@@ -995,10 +990,9 @@ impl Model for ClusterSim {
                 r.submitted = now;
                 // Under closed loop, actual time runs ahead of the trace
                 // clock by however long responses have taken; keep the
-                // power manager's window predictions aligned.
-                let drift = now - r.trace_at;
+                // predictors' window predictions aligned.
+                self.drift = now - r.trace_at;
                 let (file, op, bytes) = (r.file, r.op, r.size);
-                self.power.set_drift(drift);
                 if let Some(obs) = self.obs.as_mut() {
                     obs.outstanding += 1;
                 }
@@ -1464,41 +1458,24 @@ impl Model for ClusterSim {
                 if d.generation() != generation || !d.is_idle(now) || d.is_sleeping() {
                     return;
                 }
-                // Policy plane (eevfs-power) supersedes the static power
-                // manager when present. Sleeps are charged against the
-                // disk's spin-cycle budget at decision time; an exhausted
-                // budget refuses the sleep (counted in `sleeps_denied`).
-                if self.plane.is_some() {
-                    let act = {
-                        let plane = self.plane.as_mut().expect("checked above");
-                        if armed {
-                            if plane.timer_allows_sleep(node, disk)
-                                && plane.try_charge_spin(node, disk)
-                            {
-                                PlaneAct::Sleep
-                            } else {
-                                PlaneAct::Nothing
-                            }
-                        } else {
-                            match plane.on_idle(node, disk, now) {
-                                IdleVerdict::SleepNow => {
-                                    if plane.try_charge_spin(node, disk) {
-                                        PlaneAct::Sleep
-                                    } else {
-                                        PlaneAct::Nothing
-                                    }
-                                }
-                                IdleVerdict::After(wait) => PlaneAct::Recheck(wait),
-                                IdleVerdict::Stay => PlaneAct::Nothing,
-                            }
-                        }
-                    };
-                    match act {
-                        PlaneAct::Sleep => {
-                            self.nodes[node].data_disks[disk].sleep(now);
-                            self.note_sleep(node, disk, now);
-                        }
-                        PlaneAct::Recheck(wait) => {
+                // Sleeps are charged against the disk's spin-cycle budget
+                // at decision time; an exhausted budget refuses the sleep
+                // (counted in `sleeps_denied`).
+                let plane = self
+                    .plane
+                    .as_mut()
+                    .expect("sleep checks are armed only with a plane");
+                let sleep = if armed {
+                    plane.timer_allows_sleep(node, disk)
+                } else {
+                    // Predictors read the expected pattern's clock; `drift`
+                    // never exceeds `now` (it was `now - trace_at` at an
+                    // issue no later than this check).
+                    let pattern_now =
+                        SimTime::from_micros(now.as_micros() - self.drift.as_micros());
+                    match plane.on_idle(node, disk, pattern_now) {
+                        IdleVerdict::SleepNow => true,
+                        IdleVerdict::After(wait) => {
                             queue.schedule(
                                 now + wait,
                                 Ev::SleepCheck {
@@ -1508,35 +1485,14 @@ impl Model for ClusterSim {
                                     armed: true,
                                 },
                             );
+                            false
                         }
-                        PlaneAct::Nothing => {}
+                        IdleVerdict::Stay => false,
                     }
-                    return;
-                }
-                if armed {
-                    if self.power.timer_allows_sleep() {
-                        self.nodes[node].data_disks[disk].sleep(now);
-                        self.note_sleep(node, disk, now);
-                    }
-                    return;
-                }
-                match self.power.on_idle(node, disk, now) {
-                    SleepDecision::SleepNow => {
-                        self.nodes[node].data_disks[disk].sleep(now);
-                        self.note_sleep(node, disk, now);
-                    }
-                    SleepDecision::CheckAt(t) => {
-                        queue.schedule(
-                            t.max(now),
-                            Ev::SleepCheck {
-                                node: node as u16,
-                                disk: disk as u16,
-                                generation,
-                                armed: true,
-                            },
-                        );
-                    }
-                    SleepDecision::No => {}
+                };
+                if sleep && plane.try_charge_spin(node, disk) {
+                    self.nodes[node].data_disks[disk].sleep(now);
+                    self.note_sleep(node, disk, now);
                 }
             }
         }
@@ -1669,33 +1625,6 @@ pub fn run_cluster_durable(
     .0
 }
 
-/// [`run_cluster_durable`] with a structured trace streamed into
-/// `recorder` (corruption detections, scrub passes, journal replays, and
-/// node restarts included). Observation stays passive: metrics are
-/// identical to the unobserved durable run and the JSONL export is
-/// byte-identical across same-input replays.
-pub fn run_cluster_durable_observed(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    faults: &FaultPlan,
-    durability: DurabilitySetup<'_>,
-    recorder: Recorder,
-) -> (RunMetrics, ObsReport) {
-    let (metrics, _, report) = run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        faults,
-        None,
-        Some(durability),
-        Some(recorder),
-        None,
-    );
-    (metrics, report.expect("observation was requested"))
-}
-
 /// Like [`run_cluster`], but also records and returns the whole-cluster
 /// cumulative-energy curve: `(time, joules-so-far)` samples at 240 uniform
 /// points over the run, including node/server base power. Differentiating
@@ -1765,7 +1694,7 @@ pub fn run_cluster_observed(
 /// Like [`run_cluster`], but drives every power and caching decision
 /// through the `eevfs-power` policy plane built from `policy`: the
 /// configured [`eevfs_power::IdlePredictor`] decides when idle data disks
-/// spin down (superseding the static idle-threshold logic), sleeps are
+/// spin down (in place of the one `cfg` describes), sleeps are
 /// charged against per-disk spin-cycle budgets, and reads are fronted by
 /// the configured DRAM/SSD cache tiers — tier hits never touch the
 /// data-disk spin-up path and are metered in [`RunMetrics::tier`]. The
@@ -1790,31 +1719,6 @@ pub fn run_cluster_powered(
         Some(policy),
     )
     .0
-}
-
-/// [`run_cluster_powered`] with a structured trace streamed into
-/// `recorder` (tier serves included) and a metrics registry carrying the
-/// tier-hit and sleep-denial counters. Observation stays passive: metrics
-/// are identical to the unobserved powered run.
-pub fn run_cluster_powered_observed(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    policy: &eevfs_power::PowerPolicy,
-    recorder: Recorder,
-) -> (RunMetrics, ObsReport) {
-    let (metrics, _, report) = run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        &FaultPlan::none(),
-        None,
-        None,
-        Some(recorder),
-        Some(policy),
-    );
-    (metrics, report.expect("observation was requested"))
 }
 
 /// A typed rejection from the fallible driver entry points.
@@ -1915,7 +1819,7 @@ pub struct ChaosSetup<'a> {
     /// Corruption/crash schedules + scrubbing; `None` disables the
     /// durability layer.
     pub durability: Option<DurabilitySetup<'a>>,
-    /// Power policy plane; `None` keeps the paper's static idle threshold.
+    /// Power policy; `None` runs the paper's manager as `cfg` describes it.
     pub power: Option<&'a eevfs_power::PowerPolicy>,
 }
 
@@ -2193,7 +2097,8 @@ fn run_validated(
         });
     }
 
-    // Predictors over the *shifted* expected pattern.
+    // Expected physical touches per data disk over the *shifted* pattern,
+    // for the hint predictors.
     let mut touch_lists: Vec<Vec<Vec<SimTime>>> = cluster
         .nodes
         .iter()
@@ -2217,14 +2122,6 @@ fn run_validated(
             touch_lists[node][disk].push(r.at + warmup);
         }
     }
-    let predictors: Vec<Vec<DiskPredictor>> = touch_lists
-        .into_iter()
-        .map(|per_node| per_node.into_iter().map(DiskPredictor::new).collect())
-        .collect();
-
-    let prefetch_active = !plan.files.is_empty();
-    let power = PowerManager::new(cfg, prefetch_active, benefit.worthwhile, predictors);
-    let power_engaged = power.engaged();
 
     let replica_nodes: Vec<Vec<u32>> = replicas
         .replicas
@@ -2391,17 +2288,21 @@ fn run_validated(
         .map(|n| n.data_disks.iter().map(breakeven_time).collect())
         .collect();
 
-    // The adaptive policy plane, when a PowerPolicy was supplied. A
-    // present plane counts as engaged power management regardless of the
-    // static config's verdict.
-    let plane = power_plane.map(|p| PolicyPlane::new(p.clone(), &breakeven));
-    let power_engaged = power_engaged || plane.is_some();
+    // The policy plane: the supplied PowerPolicy, else the paper's
+    // manager as the config describes it. A present plane is engaged
+    // power management.
+    let plane = match power_plane {
+        Some(p) => Some(PolicyPlane::new(p.clone(), &breakeven)),
+        None => {
+            crate::power::plane_for(cfg, !plan.files.is_empty(), benefit.worthwhile, touch_lists)
+        }
+    };
+    let power_engaged = plane.is_some();
 
     let sim = ClusterSim {
         cfg: cfg.clone(),
         server,
         nodes,
-        power,
         placement,
         replicas,
         health,
@@ -2429,6 +2330,7 @@ fn run_validated(
         obs: obs_state,
         dur: dur_state,
         plane,
+        drift: SimDuration::ZERO,
         gate: cfg.overload.map(|o| AdmissionGate::new(o.to_options())),
         overload_completed: 0,
         overload_node_shed: 0,
@@ -2463,7 +2365,7 @@ fn run_validated(
                 // snapshot; nothing may touch a disk before that.
                 (d.busy_until().max(warmup_end), d.generation())
             };
-            if engine.model().power.engaged() || engine.model().plane.is_some() {
+            if engine.model().plane.is_some() {
                 engine.queue_mut().schedule(
                     at,
                     Ev::SleepCheck {
@@ -2533,11 +2435,14 @@ fn run_validated(
         sim.emit_idle_realized(end, &s);
     }
     let prediction = sim.pred.summary();
-    // Tier/budget outcomes; spin cycles and SSD energy come from the
-    // device models below.
-    let plane_present = sim.plane.is_some();
-    let mut tier = sim.plane.as_ref().map(|p| p.stats()).unwrap_or_default();
-    if plane_present {
+    // Tier/budget outcomes, reported only for a supplied PowerPolicy; spin
+    // cycles and SSD energy come from the device models below.
+    let policy_supplied = power_plane.is_some();
+    let mut tier = match sim.plane.as_ref() {
+        Some(p) if policy_supplied => p.stats(),
+        _ => Default::default(),
+    };
+    if policy_supplied {
         for n in &sim.nodes {
             for d in &n.data_disks {
                 tier.spin_cycles += d.spin_cycles();
@@ -2701,7 +2606,7 @@ fn run_validated(
         o.registry.inc("hedges", resilience.hedges);
         o.registry.inc("sleeps", prediction.sleeps);
         o.registry.inc("sleeps_paid_off", prediction.paid_off);
-        if plane_present {
+        if policy_supplied {
             o.registry.inc("tier_dram_hits", tier.dram_hits);
             o.registry.inc("tier_dram_misses", tier.dram_misses);
             o.registry.inc("tier_ssd_hits", tier.ssd_hits);
@@ -3605,14 +3510,18 @@ mod tests {
             blocks_per_disk: 64,
         };
         let observed = || {
-            run_cluster_durable_observed(
+            try_run_cluster_chaos_observed(
                 &cluster,
                 &cfg,
                 &trace,
                 &FaultPlan::none(),
-                setup,
+                ChaosSetup {
+                    durability: Some(setup),
+                    ..ChaosSetup::default()
+                },
                 Recorder::default(),
             )
+            .unwrap()
         };
         let (m1, r1) = observed();
         let (m2, r2) = observed();

@@ -63,7 +63,6 @@ pub mod server;
 
 pub use config::{ClusterSpec, EevfsConfig, NodeSpec};
 pub use driver::{
-    run_cluster, run_cluster_powered, run_cluster_powered_observed, try_run_cluster_chaos,
-    ChaosSetup, DriverError,
+    run_cluster, run_cluster_powered, try_run_cluster_chaos, ChaosSetup, DriverError,
 };
 pub use metrics::RunMetrics;

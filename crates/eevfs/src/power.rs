@@ -4,212 +4,130 @@
 //! from the server and predicts, per data disk, when the disk will next be
 //! *physically* touched — i.e. by a request the buffer disk will not
 //! absorb. When a disk goes idle and the predicted window to the next
-//! touch exceeds the idle threshold, the disk is sent to standby.
+//! touch clears the idle threshold, the disk is sent to standby.
 //!
-//! Two refinements from the paper:
+//! The paper's manager is one more [`IdlePredictor`], [`HintPredictor`],
+//! run by the same `eevfs-power` [`PolicyPlane`] as every adaptive policy.
+//! `plane_for` maps an [`EevfsConfig`] onto that plane:
 //!
 //! * **Application hints** (§IV-C): with hints the node trusts the
 //!   predicted window and sleeps the disk immediately as it goes idle
 //!   ("we sleep a disk as a particular request enters the storage client
-//!   node"); without hints it waits out the idle threshold first, the
-//!   conservative timer behaviour.
+//!   node") — a [`HintPredictor`] per disk. Without hints, and under
+//!   [`PowerPolicy::IdleTimer`], it waits out the idle threshold first:
+//!   a [`FixedThreshold`] per disk.
 //! * **No-opportunity gate**: when the up-front energy prediction model
 //!   finds no net benefit, power management stands down for the whole run
-//!   rather than thrash drives for nothing.
+//!   rather than thrash drives for nothing — no plane at all.
 //!
 //! Under NPF the prediction-driven policy never engages: with no buffer
 //! coverage there are no absorbed requests to create trustworthy windows,
 //! which is why the paper's NPF runs show zero transitions.
 
 use crate::config::{EevfsConfig, PowerPolicy};
+use eevfs_power::{FixedThreshold, IdlePredictor, IdleVerdict, PolicyPlane};
 use sim_core::{SimDuration, SimTime};
 
-/// Predicted physical-touch schedule for one data disk.
+/// The paper's hint-driven sleep policy for one data disk.
 ///
-/// The cursor advances once per physical request actually served, in
-/// arrival order (the server's FIFO preserves trace order per node), so
-/// `next_pending` always points at the next *expected* touch.
-#[derive(Debug, Clone, Default)]
-pub struct DiskPredictor {
+/// Holds the disk's predicted physical-touch schedule. The cursor advances
+/// once per expected physical request actually served, in arrival order
+/// (the server's FIFO preserves trace order per node), so it always
+/// points at the next *expected* touch.
+#[derive(Debug, Clone)]
+pub struct HintPredictor {
     touches: Vec<SimTime>,
     cursor: usize,
+    threshold: SimDuration,
+    /// Window to the next touch, as computed at the last idle onset.
+    window: Option<SimDuration>,
 }
 
-impl DiskPredictor {
-    /// Builds a predictor from sorted expected touch times.
-    pub fn new(touches: Vec<SimTime>) -> Self {
+impl HintPredictor {
+    /// Builds a predictor from sorted expected touch times and the idle
+    /// threshold a window must clear.
+    pub fn new(touches: Vec<SimTime>, threshold: SimDuration) -> Self {
         debug_assert!(touches.windows(2).all(|w| w[0] <= w[1]));
-        DiskPredictor { touches, cursor: 0 }
+        HintPredictor {
+            touches,
+            cursor: 0,
+            threshold,
+            window: None,
+        }
     }
 
     /// The next expected physical touch, if any remain.
-    pub fn next_pending(&self) -> Option<SimTime> {
+    fn next_pending(&self) -> Option<SimTime> {
         self.touches.get(self.cursor).copied()
     }
+}
 
-    /// Records that one expected physical request arrived.
-    pub fn consume(&mut self) {
-        if self.cursor < self.touches.len() {
-            self.cursor += 1;
+impl IdlePredictor for HintPredictor {
+    fn name(&self) -> &'static str {
+        "hints"
+    }
+
+    /// Sleeps now when the window to the next expected touch clears the
+    /// threshold, or when no touch is pending; an overdue touch (queued
+    /// somewhere, landing any moment) keeps the disk up.
+    fn on_idle(&mut self, now: SimTime) -> IdleVerdict {
+        let Some(next) = self.next_pending() else {
+            self.window = None;
+            return IdleVerdict::SleepNow;
+        };
+        self.window = (next > now).then(|| next - now);
+        match self.window {
+            Some(w) if w >= self.threshold => IdleVerdict::SleepNow,
+            _ => IdleVerdict::Stay,
         }
     }
 
-    /// Expected touches not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.touches.len() - self.cursor
+    fn on_expected_touch(&mut self) {
+        self.cursor += 1;
+    }
+
+    /// The bounded window behind the last decision: `None` when nothing
+    /// was pending (unbounded) or the touch was already overdue.
+    fn predicted_idle(&self) -> Option<SimDuration> {
+        self.window
     }
 }
 
-/// What the power manager wants done with an idle disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SleepDecision {
-    /// Spin down right now.
-    SleepNow,
-    /// Re-check at the given time (idle-timer expiry).
-    CheckAt(SimTime),
-    /// Leave the disk spinning.
-    No,
-}
-
-/// Per-run power-management state for the whole cluster.
-#[derive(Debug, Clone)]
-pub struct PowerManager {
-    policy: PowerPolicy,
-    threshold: SimDuration,
-    hints: bool,
-    /// Prefetching active (PrefetchAware only engages with coverage).
+/// The policy plane for a run that supplies no `eevfs_power::PowerPolicy`,
+/// built from `cfg` alone; `None` when the run can never sleep a disk.
+///
+/// `touches[node][disk]` is each data disk's sorted expected-touch list,
+/// used when hints are on. `prefetch_active` and `worthwhile` gate
+/// [`PowerPolicy::PrefetchAware`]: it engages only with prefetch coverage
+/// and a predicted net benefit.
+pub(crate) fn plane_for(
+    cfg: &EevfsConfig,
     prefetch_active: bool,
-    /// Global gate from the energy prediction model.
-    enabled: bool,
-    predictors: Vec<Vec<DiskPredictor>>,
-    /// How far actual time runs ahead of the predicted pattern's clock.
-    /// Zero under open-loop replay; under closed-loop replay the driver
-    /// updates it at every issue, so predicted touch times stay
-    /// meaningful ("the pattern says two more think-times from now", not
-    /// an absolute timestamp that queueing has already invalidated).
-    drift: SimDuration,
-}
-
-impl PowerManager {
-    /// Builds the manager. `predictors[node][disk]` must cover every data
-    /// disk; pass empty predictors for policies that do not use them.
-    pub fn new(
-        cfg: &EevfsConfig,
-        prefetch_active: bool,
-        worthwhile: bool,
-        predictors: Vec<Vec<DiskPredictor>>,
-    ) -> Self {
-        PowerManager {
-            policy: cfg.power,
-            threshold: cfg.idle_threshold,
-            hints: cfg.hints,
-            prefetch_active,
-            enabled: worthwhile,
-            predictors,
-            drift: SimDuration::ZERO,
-        }
-    }
-
-    /// Updates the pattern-clock drift (closed-loop replay).
-    pub fn set_drift(&mut self, drift: SimDuration) {
-        self.drift = drift;
-    }
-
-    /// The current drift.
-    pub fn drift(&self) -> SimDuration {
-        self.drift
-    }
-
-    /// True when this run can ever sleep a disk.
-    pub fn engaged(&self) -> bool {
-        match self.policy {
-            PowerPolicy::PrefetchAware => self.prefetch_active && self.enabled,
-            PowerPolicy::IdleTimer => true,
-            PowerPolicy::None => false,
-        }
-    }
-
-    /// The idle threshold in force.
-    pub fn threshold(&self) -> SimDuration {
-        self.threshold
-    }
-
-    /// Records a physical request hitting `(node, disk)` that the
-    /// prediction expected (caller filters out unpredicted traffic).
-    pub fn on_predicted_request(&mut self, node: usize, disk: usize) {
-        if let Some(p) = self.predictors.get_mut(node).and_then(|n| n.get_mut(disk)) {
-            p.consume();
-        }
-    }
-
-    /// Expected touches still pending for a disk (reporting/tests).
-    pub fn remaining(&self, node: usize, disk: usize) -> usize {
-        self.predictors[node][disk].remaining()
-    }
-
-    /// Decision when `(node, disk)` goes idle at `now`.
-    pub fn on_idle(&self, node: usize, disk: usize, now: SimTime) -> SleepDecision {
-        if !self.engaged() {
-            return SleepDecision::No;
-        }
-        match self.policy {
-            PowerPolicy::None => SleepDecision::No,
-            PowerPolicy::IdleTimer => SleepDecision::CheckAt(now + self.threshold),
-            PowerPolicy::PrefetchAware => {
-                if self.hints {
-                    // Trust the predicted window: sleep immediately when it
-                    // clears the threshold. Predicted times are shifted by
-                    // the observed pattern-clock drift.
-                    match self.predictors[node][disk].next_pending() {
-                        None => SleepDecision::SleepNow,
-                        Some(next) => {
-                            let next = next.saturating_add(self.drift);
-                            if next > now && next - now >= self.threshold {
-                                SleepDecision::SleepNow
-                            } else {
-                                SleepDecision::No
-                            }
-                        }
+    worthwhile: bool,
+    touches: Vec<Vec<Vec<SimTime>>>,
+) -> Option<PolicyPlane> {
+    let hints = match cfg.power {
+        PowerPolicy::None => return None,
+        PowerPolicy::PrefetchAware if !(prefetch_active && worthwhile) => return None,
+        PowerPolicy::PrefetchAware => cfg.hints,
+        PowerPolicy::IdleTimer => false,
+    };
+    let threshold = cfg.idle_threshold;
+    let predictors = touches
+        .into_iter()
+        .map(|node| {
+            node.into_iter()
+                .map(|t| -> Box<dyn IdlePredictor> {
+                    if hints {
+                        Box::new(HintPredictor::new(t, threshold))
+                    } else {
+                        Box::new(FixedThreshold::new(threshold))
                     }
-                } else {
-                    // Conservative: wait out the threshold on a timer.
-                    SleepDecision::CheckAt(now + self.threshold)
-                }
-            }
-        }
-    }
-
-    /// Whether a timer that has just expired (disk idle for the whole
-    /// threshold) should put the disk down.
-    pub fn timer_allows_sleep(&self) -> bool {
-        self.engaged()
-    }
-
-    /// The drift-shifted window to the next predicted physical touch of
-    /// `(node, disk)` as seen at `now` — the quantity the hints policy
-    /// compares against the idle threshold when it decides to sleep.
-    ///
-    /// Returns `None` when no bounded prediction exists: the policy does
-    /// not use predictors (idle-timer / hints off), the predictor has no
-    /// pending touches (window unbounded), or the predicted touch is
-    /// already overdue. Observability uses this to log predicted-vs-actual
-    /// idle windows without re-deriving policy internals.
-    pub fn predicted_window(&self, node: usize, disk: usize, now: SimTime) -> Option<SimDuration> {
-        if self.policy != PowerPolicy::PrefetchAware || !self.hints {
-            return None;
-        }
-        let next = self
-            .predictors
-            .get(node)
-            .and_then(|n| n.get(disk))
-            .and_then(|p| p.next_pending())?;
-        let next = next.saturating_add(self.drift);
-        if next > now {
-            Some(next - now)
-        } else {
-            None
-        }
-    }
+                })
+                .collect()
+        })
+        .collect();
+    Some(PolicyPlane::from_predictors(predictors))
 }
 
 #[cfg(test)]
@@ -221,148 +139,134 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn manager(cfg: &EevfsConfig, prefetch: bool, touches: Vec<SimTime>) -> PowerManager {
-        PowerManager::new(cfg, prefetch, true, vec![vec![DiskPredictor::new(touches)]])
+    fn hints(touches: Vec<SimTime>) -> HintPredictor {
+        HintPredictor::new(touches, SimDuration::from_secs(5))
+    }
+
+    fn plane(cfg: &EevfsConfig, prefetch: bool, touches: Vec<SimTime>) -> Option<PolicyPlane> {
+        plane_for(cfg, prefetch, true, vec![vec![touches]])
     }
 
     #[test]
     fn predictor_cursor_walks_touches() {
-        let mut p = DiskPredictor::new(vec![secs(1), secs(5), secs(20)]);
+        let mut p = hints(vec![secs(1), secs(5), secs(20)]);
         assert_eq!(p.next_pending(), Some(secs(1)));
-        assert_eq!(p.remaining(), 3);
-        p.consume();
+        p.on_expected_touch();
         assert_eq!(p.next_pending(), Some(secs(5)));
-        p.consume();
-        p.consume();
+        p.on_expected_touch();
+        p.on_expected_touch();
         assert_eq!(p.next_pending(), None);
-        assert_eq!(p.remaining(), 0);
-        p.consume(); // saturates
-        assert_eq!(p.remaining(), 0);
+        p.on_expected_touch(); // past the end: still nothing pending
+        assert_eq!(p.next_pending(), None);
     }
 
     #[test]
     fn hints_sleep_immediately_across_long_window() {
-        let cfg = EevfsConfig::paper_pf(70);
-        let m = manager(&cfg, true, vec![secs(100)]);
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::SleepNow);
+        let mut p = plane(&EevfsConfig::paper_pf(70), true, vec![secs(100)]).unwrap();
+        assert_eq!(p.on_idle(0, 0, secs(10)), IdleVerdict::SleepNow);
     }
 
     #[test]
     fn hints_refuse_short_window() {
-        let cfg = EevfsConfig::paper_pf(70);
-        let m = manager(&cfg, true, vec![secs(12)]);
         // Next touch 2 s away < 5 s threshold.
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::No);
+        assert_eq!(hints(vec![secs(12)]).on_idle(secs(10)), IdleVerdict::Stay);
     }
 
     #[test]
     fn hints_sleep_forever_when_nothing_pending() {
-        let cfg = EevfsConfig::paper_pf(70);
-        let m = manager(&cfg, true, vec![]);
-        assert_eq!(m.on_idle(0, 0, SimTime::ZERO), SleepDecision::SleepNow);
+        assert_eq!(hints(vec![]).on_idle(SimTime::ZERO), IdleVerdict::SleepNow);
     }
 
     #[test]
     fn overdue_predicted_touch_blocks_sleep() {
-        let cfg = EevfsConfig::paper_pf(70);
-        let m = manager(&cfg, true, vec![secs(5)]);
         // The expected touch is already overdue (queued somewhere): the
         // request could land any moment, so stay up.
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::No);
+        assert_eq!(hints(vec![secs(5)]).on_idle(secs(10)), IdleVerdict::Stay);
     }
 
     #[test]
     fn without_hints_a_timer_is_armed() {
         let mut cfg = EevfsConfig::paper_pf(70);
         cfg.hints = false;
-        let m = manager(&cfg, true, vec![secs(100)]);
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::CheckAt(secs(15)));
-        assert!(m.timer_allows_sleep());
+        let mut p = plane(&cfg, true, vec![secs(100)]).unwrap();
+        assert_eq!(
+            p.on_idle(0, 0, secs(10)),
+            IdleVerdict::After(SimDuration::from_secs(5))
+        );
+        assert!(p.timer_allows_sleep(0, 0));
     }
 
     #[test]
     fn npf_never_sleeps_under_prefetch_aware_policy() {
-        let cfg = EevfsConfig::paper_npf();
-        let m = manager(&cfg, false, vec![]);
-        assert!(!m.engaged());
-        assert_eq!(m.on_idle(0, 0, secs(50)), SleepDecision::No);
-        assert!(!m.timer_allows_sleep());
+        assert!(plane(&EevfsConfig::paper_npf(), false, vec![]).is_none());
     }
 
     #[test]
     fn benefit_gate_disables_everything() {
         let cfg = EevfsConfig::paper_pf(70);
-        let m = PowerManager::new(&cfg, true, false, vec![vec![DiskPredictor::default()]]);
-        assert!(!m.engaged());
-        assert_eq!(m.on_idle(0, 0, secs(50)), SleepDecision::No);
+        assert!(plane_for(&cfg, true, false, vec![vec![vec![]]]).is_none());
     }
 
     #[test]
     fn idle_timer_policy_works_without_prefetch() {
         let mut cfg = EevfsConfig::paper_npf();
         cfg.power = PowerPolicy::IdleTimer;
-        let m = manager(&cfg, false, vec![]);
-        assert!(m.engaged());
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::CheckAt(secs(15)));
+        let mut p = plane(&cfg, false, vec![]).unwrap();
+        assert_eq!(
+            p.on_idle(0, 0, secs(10)),
+            IdleVerdict::After(SimDuration::from_secs(5))
+        );
     }
 
     #[test]
     fn none_policy_never_sleeps() {
         let mut cfg = EevfsConfig::paper_pf(70);
         cfg.power = PowerPolicy::None;
-        let m = manager(&cfg, true, vec![]);
-        assert!(!m.engaged());
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::No);
+        assert!(plane(&cfg, true, vec![]).is_none());
     }
 
     #[test]
     fn drift_shifts_predicted_windows() {
-        let cfg = EevfsConfig::paper_pf(70);
-        let mut m = manager(&cfg, true, vec![secs(12)]);
-        // Without drift, the window (2 s) is too short at t=10.
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::No);
-        // With 20 s of drift the touch is effectively at t=32: sleep.
-        m.set_drift(SimDuration::from_secs(20));
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::SleepNow);
-        assert_eq!(m.drift(), SimDuration::from_secs(20));
+        // The driver reads hints on the pattern clock, `now - drift`.
+        let mut p = hints(vec![secs(32)]);
+        // Without drift, the window (2 s) is too short at t=30.
+        assert_eq!(p.on_idle(secs(30)), IdleVerdict::Stay);
+        // With 20 s of drift the touch is effectively at t=52: sleep.
+        let drift = SimDuration::from_secs(20);
+        let pattern_now = SimTime::from_micros(secs(30).as_micros() - drift.as_micros());
+        assert_eq!(p.on_idle(pattern_now), IdleVerdict::SleepNow);
+        assert_eq!(p.predicted_idle(), Some(SimDuration::from_secs(22)));
     }
 
     #[test]
     fn predicted_window_mirrors_the_hints_decision() {
-        let cfg = EevfsConfig::paper_pf(70);
-        let mut m = manager(&cfg, true, vec![secs(12)]);
+        let mut p = hints(vec![secs(12)]);
         // Bounded window: 2 s to the predicted touch.
-        assert_eq!(
-            m.predicted_window(0, 0, secs(10)),
-            Some(SimDuration::from_secs(2))
-        );
-        // Drift shifts it exactly as on_idle sees it.
-        m.set_drift(SimDuration::from_secs(20));
-        assert_eq!(
-            m.predicted_window(0, 0, secs(10)),
-            Some(SimDuration::from_secs(22))
-        );
+        p.on_idle(secs(10));
+        assert_eq!(p.predicted_idle(), Some(SimDuration::from_secs(2)));
         // Overdue touch: no bounded prediction.
-        m.set_drift(SimDuration::ZERO);
-        assert_eq!(m.predicted_window(0, 0, secs(12)), None);
+        p.on_idle(secs(12));
+        assert_eq!(p.predicted_idle(), None);
         // Nothing pending: unbounded.
-        let m = manager(&cfg, true, vec![]);
-        assert_eq!(m.predicted_window(0, 0, secs(10)), None);
+        let mut p = hints(vec![]);
+        p.on_idle(secs(10));
+        assert_eq!(p.predicted_idle(), None);
         // Timer policies never predict.
         let mut cfg = EevfsConfig::paper_pf(70);
         cfg.hints = false;
-        let m = manager(&cfg, true, vec![secs(100)]);
-        assert_eq!(m.predicted_window(0, 0, secs(10)), None);
+        let mut p = plane(&cfg, true, vec![secs(100)]).unwrap();
+        p.on_idle(0, 0, secs(10));
+        assert_eq!(p.predicted_idle(0, 0), None);
     }
 
     #[test]
     fn consume_moves_the_window() {
         let cfg = EevfsConfig::paper_pf(70);
-        let mut m = manager(&cfg, true, vec![secs(12), secs(100)]);
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::No);
-        m.on_predicted_request(0, 0);
+        let mut p = plane(&cfg, true, vec![secs(12), secs(100)]).unwrap();
+        assert_eq!(p.on_idle(0, 0, secs(10)), IdleVerdict::Stay);
+        p.on_expected_touch(0, 0);
         // Next touch now 100 s: big window.
-        assert_eq!(m.on_idle(0, 0, secs(13)), SleepDecision::SleepNow);
-        assert_eq!(m.remaining(0, 0), 1);
+        assert_eq!(p.on_idle(0, 0, secs(13)), IdleVerdict::SleepNow);
+        assert_eq!(p.predicted_idle(0, 0), Some(SimDuration::from_secs(87)));
     }
 }
