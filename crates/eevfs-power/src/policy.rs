@@ -235,11 +235,6 @@ impl PolicyPlane {
         self.disks[node][disk].predictor.on_expected_touch();
     }
 
-    /// Whether an expired idle timer should still put the disk down.
-    pub fn timer_allows_sleep(&self, node: usize, disk: usize) -> bool {
-        self.disks[node][disk].predictor.timer_allows_sleep()
-    }
-
     /// Charges one spin-down against the disk's cycle budget; a `false`
     /// return means the sleep must be skipped (counted as denied).
     pub fn try_charge_spin(&mut self, node: usize, disk: usize) -> bool {
@@ -355,7 +350,6 @@ mod tests {
             plane.on_idle(0, 0, SimTime::ZERO),
             IdleVerdict::After(SimDuration::from_secs_f64(5.0))
         );
-        assert!(plane.timer_allows_sleep(1, 1));
         assert!(!plane.has_dram());
         assert!(!plane.has_ssd());
         assert!(!plane.dram_lookup(0, 7));

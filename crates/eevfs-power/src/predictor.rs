@@ -66,13 +66,6 @@ pub trait IdlePredictor: std::fmt::Debug {
     fn predicted_idle(&self) -> Option<SimDuration> {
         None
     }
-
-    /// Whether an [`IdleVerdict::After`] timer that expired with the disk
-    /// still idle should put it down. True for every bundled policy — the
-    /// timer *was* the decision — but overridable for vetoing designs.
-    fn timer_allows_sleep(&self) -> bool {
-        true
-    }
 }
 
 /// The paper's policy: wait out a fixed idle threshold, then sleep
@@ -351,7 +344,6 @@ mod tests {
             IdleVerdict::After(secs(5))
         );
         assert_eq!(p.predicted_idle(), None);
-        assert!(p.timer_allows_sleep());
     }
 
     #[test]

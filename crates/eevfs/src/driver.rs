@@ -1466,7 +1466,8 @@ impl Model for ClusterSim {
                     .as_mut()
                     .expect("sleep checks are armed only with a plane");
                 let sleep = if armed {
-                    plane.timer_allows_sleep(node, disk)
+                    // The expired timer was the predictor's decision.
+                    true
                 } else {
                     // Predictors read the expected pattern's clock; `drift`
                     // never exceeds `now` (it was `now - trace_at` at an

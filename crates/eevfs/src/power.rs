@@ -193,7 +193,6 @@ mod tests {
             p.on_idle(0, 0, secs(10)),
             IdleVerdict::After(SimDuration::from_secs(5))
         );
-        assert!(p.timer_allows_sleep(0, 0));
     }
 
     #[test]
