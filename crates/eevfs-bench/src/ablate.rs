@@ -10,7 +10,7 @@ use crate::runner::{GridError, Runner};
 use crate::sweeps::SweepParams;
 use eevfs::baselines;
 use eevfs::config::{ClusterSpec, EevfsConfig};
-use eevfs::driver::{run_cluster, run_cluster_resilient, ResilienceSetup};
+use eevfs::driver::{run_cluster, try_run, ResilienceSetup, Scenario};
 use eevfs::metrics::RunMetrics;
 use fault_model::{FaultPlan, LinkFaultProfile, NetFaultPlan, RpcPolicy};
 use serde::{Deserialize, Serialize};
@@ -47,6 +47,19 @@ fn trace_default(p: &SweepParams, mu: f64) -> workload::record::Trace {
         mu,
         ..SyntheticSpec::paper_default()
     })
+}
+
+/// One grid cell's run under `scenario`. The grids build their own plans,
+/// so a rejection is a bug; the panic becomes the cell's [`GridError`].
+fn run_scenario(
+    cluster: &ClusterSpec,
+    cfg: &EevfsConfig,
+    trace: &workload::record::Trace,
+    scenario: Scenario<'_>,
+) -> RunMetrics {
+    try_run(cluster, cfg, trace, scenario)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .metrics
 }
 
 fn row(
@@ -370,7 +383,6 @@ pub fn ablate_faults(p: &SweepParams) -> Ablation {
 /// A cell that dies comes back as a [`GridError`] naming the grid point.
 pub fn try_ablate_faults_on(runner: &Runner, p: &SweepParams) -> Result<Ablation, GridError> {
     use eevfs::config::ReplicaSelection;
-    use eevfs::driver::run_cluster_faulted;
     use fault_model::FaultSpec;
 
     let cluster = ClusterSpec::paper_testbed();
@@ -415,7 +427,11 @@ pub fn try_ablate_faults_on(runner: &Runner, p: &SweepParams) -> Result<Ablation
                 })
             };
             let cfg = EevfsConfig::paper_pf_replicated(70, r);
-            let run = run_cluster_faulted(&cluster, &cfg, &trace, &plan);
+            let scenario = Scenario {
+                faults: Some(&plan),
+                ..Scenario::default()
+            };
+            let run = run_scenario(&cluster, &cfg, &trace, scenario);
             AblationRow {
                 name: format!("R={r}, fail rate={rate}/h"),
                 savings: run.savings_vs(&npf),
@@ -479,17 +495,16 @@ pub fn try_ablate_resilience_on(runner: &Runner, p: &SweepParams) -> Result<Abla
             } else {
                 LinkFaultProfile::lossy(p.seed, *drop)
             };
-            let run = run_cluster_resilient(
-                &cluster,
-                &cfg,
-                &trace,
-                &FaultPlan::none(),
-                ResilienceSetup {
-                    net_plan: &NetFaultPlan::none(),
-                    profile: &profile,
-                    policy,
-                },
-            );
+            let resilience = ResilienceSetup {
+                net_plan: &NetFaultPlan::none(),
+                profile: &profile,
+                policy,
+            };
+            let scenario = Scenario {
+                resilience: Some(resilience),
+                ..Scenario::default()
+            };
+            let run = run_scenario(&cluster, &cfg, &trace, scenario);
             AblationRow {
                 name: format!("drop={:.0}%, policy={policy_name}", drop * 100.0),
                 savings: run.savings_vs(&npf),
@@ -523,7 +538,7 @@ pub fn ablate_scrub(p: &SweepParams) -> Ablation {
 /// `runner`. A cell that dies comes back as a [`GridError`] naming the
 /// grid point.
 pub fn try_ablate_scrub_on(runner: &Runner, p: &SweepParams) -> Result<Ablation, GridError> {
-    use eevfs::driver::{run_cluster_durable, DurabilitySetup};
+    use eevfs::driver::DurabilitySetup;
     use eevfs::scrub::ScrubPolicy;
     use fault_model::{CorruptionPlan, CorruptionSpec, CrashPlan};
     use sim_core::SimTime;
@@ -574,18 +589,17 @@ pub fn try_ablate_scrub_on(runner: &Runner, p: &SweepParams) -> Result<Ablation,
                 flip_per_disk_hour: rate,
             });
             let cfg = EevfsConfig::paper_pf_replicated(70, r);
-            let run = run_cluster_durable(
-                &cluster,
-                &cfg,
-                &trace,
-                &FaultPlan::none(),
-                DurabilitySetup {
-                    corruption: &corruption,
-                    crashes: &CrashPlan::none(),
-                    scrub,
-                    blocks_per_disk,
-                },
-            );
+            let durability = DurabilitySetup {
+                corruption: &corruption,
+                crashes: &CrashPlan::none(),
+                scrub,
+                blocks_per_disk,
+            };
+            let scenario = Scenario {
+                durability: Some(durability),
+                ..Scenario::default()
+            };
+            let run = run_scenario(&cluster, &cfg, &trace, scenario);
             AblationRow {
                 name: format!("R={r}, rot={rate}/disk-h, {scrub_name}"),
                 savings: run.savings_vs(&npf),
@@ -607,18 +621,18 @@ pub fn try_ablate_scrub_on(runner: &Runner, p: &SweepParams) -> Result<Ablation,
     });
     let mid = SimTime::ZERO + SimDuration::from_micros(horizon.as_micros() / 2);
     let crashes = CrashPlan::one(2, mid, mid + SimDuration::from_secs(30));
-    let run = run_cluster_durable(
-        &cluster,
-        &EevfsConfig::paper_pf_replicated(70, 2),
-        &trace,
-        &FaultPlan::none(),
-        DurabilitySetup {
-            corruption: &corruption,
-            crashes: &crashes,
-            scrub: ScrubPolicy::piggyback_default(),
-            blocks_per_disk,
-        },
-    );
+    let durability = DurabilitySetup {
+        corruption: &corruption,
+        crashes: &crashes,
+        scrub: ScrubPolicy::piggyback_default(),
+        blocks_per_disk,
+    };
+    let scenario = Scenario {
+        durability: Some(durability),
+        ..Scenario::default()
+    };
+    let cfg = EevfsConfig::paper_pf_replicated(70, 2);
+    let run = run_scenario(&cluster, &cfg, &trace, scenario);
     rows.push(AblationRow {
         name: "R=2, rot=10/disk-h, scrub=piggyback, node crash mid-run".into(),
         savings: run.savings_vs(&npf),

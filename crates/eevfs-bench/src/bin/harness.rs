@@ -627,6 +627,7 @@ fn main() -> ExitCode {
         }
         "power-curve" => {
             use eevfs::config::{ClusterSpec, EevfsConfig};
+            use eevfs::driver::{try_run, Scenario};
             use workload::synthetic::{generate, SyntheticSpec};
             let trace = generate(&SyntheticSpec {
                 requests: p.requests,
@@ -634,10 +635,24 @@ fn main() -> ExitCode {
                 ..SyntheticSpec::paper_default()
             });
             let cluster = ClusterSpec::paper_testbed();
-            let (_, pf) =
-                eevfs::driver::run_cluster_traced(&cluster, &EevfsConfig::paper_pf(70), &trace);
-            let (_, npf) =
-                eevfs::driver::run_cluster_traced(&cluster, &EevfsConfig::paper_npf(), &trace);
+            let curve = |cfg: &EevfsConfig| {
+                let scenario = Scenario {
+                    curve: true,
+                    ..Scenario::default()
+                };
+                try_run(&cluster, cfg, &trace, scenario).map(|out| out.curve)
+            };
+            let (pf, npf) = match (
+                curve(&EevfsConfig::paper_pf(70)),
+                curve(&EevfsConfig::paper_npf()),
+            ) {
+                (Ok(Some(pf)), Ok(Some(npf))) => (pf, npf),
+                (Err(e), _) | (_, Err(e)) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::FAILURE;
+                }
+                _ => unreachable!("both runs asked for the curve"),
+            };
             println!(
                 "# whole-cluster power over time (W), PF(70) vs NPF, {} requests",
                 p.requests

@@ -2,17 +2,17 @@
 //!
 //! The executor rebuilds every driver input from the schedule's explicit
 //! fields — synthetic trace, paper testbed cluster, validated plans, RPC
-//! policy, optional power plane — and runs the composite
-//! [`eevfs::driver::try_run_cluster_chaos`] entry point under
+//! policy, optional power plane — and runs them as one
+//! [`eevfs::driver::Scenario`] through [`eevfs::driver::try_run`] under
 //! `catch_unwind`, so a simulator panic becomes data (an `engine-panic`
 //! outcome) instead of poisoning the search. Nothing here draws fresh
 //! randomness: the outcome is a pure function of the schedule.
 
 use crate::schedule::{ChaosSchedule, BLOCKS_PER_DISK};
 use eevfs::config::{ClusterSpec, EevfsConfig};
-use eevfs::driver::{ChaosSetup, DurabilitySetup, ResilienceSetup};
+use eevfs::driver::{DurabilitySetup, ResilienceSetup, RunOutput, Scenario};
 use eevfs::scrub::ScrubPolicy;
-use eevfs::RunMetrics;
+use eevfs_obs::Recorder;
 use eevfs_power::{EvictionPolicy, PowerPolicy, TierConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use workload::synthetic::{generate, SyntheticSpec};
@@ -20,8 +20,9 @@ use workload::synthetic::{generate, SyntheticSpec};
 /// How one schedule execution ended.
 #[derive(Debug)]
 pub enum RunOutcome {
-    /// The run completed; metrics are ready for the invariant plane.
-    Done(Box<RunMetrics>),
+    /// The run completed; its metrics — and its trace, when a recorder
+    /// was passed — are ready for the invariant plane.
+    Done(Box<RunOutput>),
     /// The driver rejected the inputs with a typed error.
     Rejected(String),
     /// The simulator panicked mid-run (an internal invariant tripped).
@@ -47,9 +48,13 @@ pub fn power_policy(s: &ChaosSchedule) -> Option<PowerPolicy> {
     })
 }
 
-/// Executes a schedule once. Deterministic: same schedule, same outcome,
-/// bit-for-bit — including the panic message when the engine panics.
-pub fn execute(s: &ChaosSchedule) -> RunOutcome {
+/// Executes a schedule once, streaming the structured trace into
+/// `recorder` when one is passed (the ledger-closure invariant rebuilds
+/// spans and residency from it). Deterministic: same schedule, same
+/// outcome, bit-for-bit — including the panic message when the engine
+/// panics. Observation is passive: the metrics are bit-identical with and
+/// without a recorder.
+pub fn execute(s: &ChaosSchedule, recorder: Option<Recorder>) -> RunOutcome {
     let trace = generate(&SyntheticSpec {
         requests: s.requests,
         seed: s.seed,
@@ -64,7 +69,8 @@ pub fn execute(s: &ChaosSchedule) -> RunOutcome {
     };
     let policy = s.rpc_policy();
     let power = power_policy(s);
-    let setup = ChaosSetup {
+    let scenario = Scenario {
+        faults: Some(&plans.faults),
         resilience: Some(ResilienceSetup {
             net_plan: &plans.net,
             profile: &s.profile,
@@ -81,80 +87,16 @@ pub fn execute(s: &ChaosSchedule) -> RunOutcome {
             blocks_per_disk: BLOCKS_PER_DISK,
         }),
         power: power.as_ref(),
+        observe: recorder,
+        curve: false,
     };
     let result = catch_unwind(AssertUnwindSafe(|| {
-        eevfs::driver::try_run_cluster_chaos(&cluster, &cfg, &trace, &plans.faults, setup)
+        eevfs::driver::try_run(&cluster, &cfg, &trace, scenario)
     }));
     match result {
-        Ok(Ok(metrics)) => RunOutcome::Done(Box::new(metrics)),
+        Ok(Ok(out)) => RunOutcome::Done(Box::new(out)),
         Ok(Err(e)) => RunOutcome::Rejected(e.to_string()),
         Err(payload) => RunOutcome::Panicked(panic_text(payload)),
-    }
-}
-
-/// How one *observed* schedule execution ended — [`execute`] with the
-/// structured trace captured for the audit plane.
-#[derive(Debug)]
-pub enum ObservedOutcome {
-    /// The run completed with its trace captured.
-    Done(Box<RunMetrics>, Box<eevfs::driver::ObsReport>),
-    /// The driver rejected the inputs with a typed error.
-    Rejected(String),
-    /// The simulator panicked mid-run.
-    Panicked(String),
-}
-
-/// Executes a schedule once with a [`Recorder`](eevfs_obs::Recorder)
-/// attached, so the ledger-closure invariant can reconstruct spans and
-/// residency from the trace. Observation is passive: the metrics are
-/// bit-identical to what [`execute`] returns for the same schedule.
-pub fn execute_observed(s: &ChaosSchedule) -> ObservedOutcome {
-    let trace = generate(&SyntheticSpec {
-        requests: s.requests,
-        seed: s.seed,
-        ..SyntheticSpec::paper_default()
-    });
-    let cluster = ClusterSpec::paper_testbed();
-    let mut cfg = EevfsConfig::paper_pf_replicated(70, s.replication);
-    cfg.overload = s.overload.map(eevfs::config::OverloadConfig::bounded);
-    let plans = match s.plans() {
-        Ok(p) => p,
-        Err(e) => return ObservedOutcome::Rejected(format!("bad schedule: {e}")),
-    };
-    let policy = s.rpc_policy();
-    let power = power_policy(s);
-    let setup = ChaosSetup {
-        resilience: Some(ResilienceSetup {
-            net_plan: &plans.net,
-            profile: &s.profile,
-            policy: &policy,
-        }),
-        durability: Some(DurabilitySetup {
-            corruption: &plans.corruption,
-            crashes: &plans.crashes,
-            scrub: if s.scrub {
-                ScrubPolicy::piggyback_default()
-            } else {
-                ScrubPolicy::Off
-            },
-            blocks_per_disk: BLOCKS_PER_DISK,
-        }),
-        power: power.as_ref(),
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        eevfs::driver::try_run_cluster_chaos_observed(
-            &cluster,
-            &cfg,
-            &trace,
-            &plans.faults,
-            setup,
-            eevfs_obs::Recorder::default(),
-        )
-    }));
-    match result {
-        Ok(Ok((metrics, report))) => ObservedOutcome::Done(Box::new(metrics), Box::new(report)),
-        Ok(Err(e)) => ObservedOutcome::Rejected(e.to_string()),
-        Err(payload) => ObservedOutcome::Panicked(panic_text(payload)),
     }
 }
 
@@ -190,10 +132,10 @@ mod tests {
             crashes: Vec::new(),
             profile: fault_model::LinkFaultProfile::none(),
         };
-        match execute(&s) {
-            RunOutcome::Done(m) => {
-                assert_eq!(m.failed_requests, 0);
-                assert_eq!(m.durability.unrecoverable_blocks, 0);
+        match execute(&s, None) {
+            RunOutcome::Done(out) => {
+                assert_eq!(out.metrics.failed_requests, 0);
+                assert_eq!(out.metrics.durability.unrecoverable_blocks, 0);
             }
             other => panic!("quiet schedule should complete, got {other:?}"),
         }
@@ -203,11 +145,11 @@ mod tests {
     fn execution_is_bit_identical() {
         let env = SeverityEnvelope::default_search();
         let s = generate_schedule(&env, 3, 5);
-        let (a, b) = (execute(&s), execute(&s));
+        let (a, b) = (execute(&s, None), execute(&s, None));
         match (a, b) {
-            (RunOutcome::Done(ma), RunOutcome::Done(mb)) => {
-                let ja = serde_json::to_string(&*ma).expect("serialize");
-                let jb = serde_json::to_string(&*mb).expect("serialize");
+            (RunOutcome::Done(a), RunOutcome::Done(b)) => {
+                let ja = serde_json::to_string(&a.metrics).expect("serialize");
+                let jb = serde_json::to_string(&b.metrics).expect("serialize");
                 assert_eq!(ja, jb, "same schedule must replay bit-identically");
             }
             (RunOutcome::Rejected(a), RunOutcome::Rejected(b)) => assert_eq!(a, b),

@@ -537,18 +537,22 @@ impl Invariant for LedgerClosure {
         "ledger-closure"
     }
     fn check(&self, cx: &CheckContext<'_>) -> Result<(), String> {
-        use crate::exec::{execute_observed, ObservedOutcome};
-        let (metrics, report) = match execute_observed(cx.schedule) {
-            ObservedOutcome::Done(m, r) => (m, r),
-            ObservedOutcome::Rejected(e) => {
+        use crate::exec::{execute, RunOutcome};
+        let out = match execute(cx.schedule, Some(eevfs_obs::Recorder::default())) {
+            RunOutcome::Done(out) => out,
+            RunOutcome::Rejected(e) => {
                 return Err(format!("observed re-run rejected: {e}"));
             }
-            ObservedOutcome::Panicked(p) => {
+            RunOutcome::Panicked(p) => {
                 return Err(format!("observed re-run panicked: {p}"));
             }
         };
+        let Some(report) = &out.obs else {
+            return Err("observed re-run captured no trace".to_string());
+        };
+        let metrics = &out.metrics;
         let plain = serde_json::to_string(cx.metrics).map_err(|e| format!("serialize: {e}"))?;
-        let observed = serde_json::to_string(&*metrics).map_err(|e| format!("serialize: {e}"))?;
+        let observed = serde_json::to_string(metrics).map_err(|e| format!("serialize: {e}"))?;
         if plain != observed {
             return Err("attaching the recorder changed the metrics".to_string());
         }
@@ -567,8 +571,8 @@ impl Invariant for LedgerClosure {
         let model = eevfs_audit::AttributionModel::from_cluster(
             &eevfs::config::ClusterSpec::paper_testbed(),
         );
-        let ledger = eevfs_audit::build_ledger(&metrics, &spans, &residency, &model);
-        ledger.verify_closure(&metrics)
+        let ledger = eevfs_audit::build_ledger(metrics, &spans, &residency, &model);
+        ledger.verify_closure(metrics)
     }
 }
 
@@ -678,9 +682,10 @@ mod tests {
         let env = SeverityEnvelope::default_search();
         let mut s = generate_schedule(&env, 5, 0);
         s.overload = None;
-        let crate::exec::RunOutcome::Done(mut m) = crate::exec::execute(&s) else {
+        let crate::exec::RunOutcome::Done(out) = crate::exec::execute(&s, None) else {
             panic!("scenario must complete");
         };
+        let mut m = out.metrics;
         // Gateless runs must keep the overload ledger untouched.
         m.overload.offered = 1;
         let cx = CheckContext {

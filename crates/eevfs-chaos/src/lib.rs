@@ -34,7 +34,7 @@ pub mod schedule;
 pub mod search;
 pub mod shrink;
 
-pub use exec::{execute, execute_observed, ObservedOutcome, RunOutcome};
+pub use exec::{execute, RunOutcome};
 pub use invariant::{CheckContext, Invariant, InvariantSet, Violation};
 pub use schedule::{generate_schedule, ChaosSchedule, SeverityEnvelope};
 pub use search::{

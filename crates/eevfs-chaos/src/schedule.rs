@@ -402,7 +402,7 @@ mod tests {
             assert!(plans.net.out_of_range(NODES).is_empty());
             assert!(plans
                 .corruption
-                .out_of_range(NODES, DISKS_PER_NODE)
+                .out_of_range(NODES, DISKS_PER_NODE, BLOCKS_PER_DISK)
                 .is_empty());
             assert!(plans.crashes.out_of_range(NODES).is_empty());
         }

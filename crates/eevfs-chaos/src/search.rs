@@ -118,7 +118,7 @@ pub fn check_schedule(
     invariants: &InvariantSet,
     double_run: bool,
 ) -> Vec<Violation> {
-    match execute(s) {
+    match execute(s, None) {
         RunOutcome::Rejected(e) => vec![Violation {
             invariant: DRIVER_REJECTED.to_string(),
             detail: e,
@@ -127,10 +127,10 @@ pub fn check_schedule(
             invariant: ENGINE_PANIC.to_string(),
             detail: p,
         }],
-        RunOutcome::Done(metrics) => {
+        RunOutcome::Done(out) => {
             let second = if double_run {
-                match execute(s) {
-                    RunOutcome::Done(m) => Some(m),
+                match execute(s, None) {
+                    RunOutcome::Done(again) => Some(again.metrics),
                     RunOutcome::Rejected(e) => {
                         return vec![Violation {
                             invariant: "determinism".to_string(),
@@ -149,8 +149,8 @@ pub fn check_schedule(
             };
             invariants.check(&CheckContext {
                 schedule: s,
-                metrics: &metrics,
-                second: second.as_deref(),
+                metrics: &out.metrics,
+                second: second.as_ref(),
             })
         }
     }
@@ -254,9 +254,9 @@ pub struct Reproducer {
 /// The digest replay compares against: FNV-1a/64 over the serialized
 /// run outcome, rendered as fixed-width hex.
 pub fn outcome_digest(s: &ChaosSchedule) -> String {
-    let text = match execute(s) {
-        RunOutcome::Done(m) => {
-            serde_json::to_string(&*m).unwrap_or_else(|e| format!("serialize-error: {e}"))
+    let text = match execute(s, None) {
+        RunOutcome::Done(out) => {
+            serde_json::to_string(&out.metrics).unwrap_or_else(|e| format!("serialize-error: {e}"))
         }
         RunOutcome::Rejected(e) => format!("rejected: {e}"),
         RunOutcome::Panicked(p) => format!("panicked: {p}"),

@@ -1,7 +1,10 @@
 //! Whole-cluster simulation driver (§IV-A process flow, §VI experiments).
 //!
-//! [`run_cluster`] replays a trace against a simulated EEVFS cluster and
-//! returns the paper's metrics. The run follows the paper's six steps:
+//! [`try_run`] replays a trace against a simulated EEVFS cluster and
+//! returns the paper's metrics; its [`Scenario`] switches on the planes
+//! beyond the paper (faults, network, durability, power policy,
+//! observation, the energy curve), and [`run_cluster`] is the paper run.
+//! The run follows the paper's six steps:
 //!
 //! 1. **Init** — storage nodes built from the cluster spec.
 //! 2. **Popularity** — the server derives popularity from the trace (its
@@ -18,7 +21,7 @@
 //!    the file back to the client over its NIC.
 //!
 //! Everything is event-driven over the deterministic queue from
-//! `sim-core`; a run is a pure function of `(cluster, cfg, trace)`.
+//! `sim-core`; a run is a pure function of `(cluster, cfg, trace, scenario)`.
 
 // Fault-path audit (ISSUE 7): input rejection goes through `DriverError`;
 // `.unwrap()` is banned here so new code can't reintroduce silent panics.
@@ -1500,43 +1503,8 @@ impl Model for ClusterSim {
     }
 }
 
-/// Runs one experiment: replays `trace` on `cluster` under `cfg`.
-///
-/// # Panics
-/// Panics on invalid cluster specs or traces — experiment configs are
-/// programmer input, not runtime data.
-pub fn run_cluster(cluster: &ClusterSpec, cfg: &EevfsConfig, trace: &Trace) -> RunMetrics {
-    run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        &FaultPlan::none(),
-        None,
-        None,
-        None,
-        None,
-    )
-    .0
-}
-
-/// Like [`run_cluster`], but injects the fault schedule into the replay.
-/// Plan times are relative to the start of the trace replay (after the
-/// prefetch warm-up). Requests that hit a dead node or disk are re-routed
-/// to surviving replicas with a bounded retry budget; the run always
-/// terminates and accounts every request, abandoned ones included
-/// (`failed_requests`).
-pub fn run_cluster_faulted(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    faults: &FaultPlan,
-) -> RunMetrics {
-    run_cluster_inner(cluster, cfg, trace, false, faults, None, None, None, None).0
-}
-
-/// The network-resilience knobs for [`run_cluster_resilient`], borrowed
-/// together so call sites stay readable.
+/// The network-resilience knobs of a [`Scenario`], borrowed together so
+/// call sites stay readable.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilienceSetup<'a> {
     /// Scheduled partitions/heals on the server↔node links.
@@ -1547,38 +1515,8 @@ pub struct ResilienceSetup<'a> {
     pub policy: &'a RpcPolicy,
 }
 
-/// Like [`run_cluster_faulted`], but additionally injects *network* faults
-/// on the server→node leg and runs every request under the RPC resilience
-/// policy: bounded retries with deterministic jittered backoff, per-node
-/// circuit breakers gating replica selection, and hedged reads that race a
-/// second replica (whose duplicate disk activations are charged to the
-/// run's energy — the paper-relevant hedging penalty). Network fault plan
-/// times are replay-relative, like disk fault plans. A run remains a pure
-/// function of its inputs: replaying the same (config, trace, plans,
-/// policy) is bit-identical, including every [`ResilienceStats`] counter.
-pub fn run_cluster_resilient(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    faults: &FaultPlan,
-    setup: ResilienceSetup<'_>,
-) -> RunMetrics {
-    run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        faults,
-        Some(setup),
-        None,
-        None,
-        None,
-    )
-    .0
-}
-
-/// The integrity and crash-recovery knobs for [`run_cluster_durable`],
-/// borrowed together so call sites stay readable.
+/// The integrity and crash-recovery knobs of a [`Scenario`], borrowed
+/// together so call sites stay readable.
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilitySetup<'a> {
     /// Seeded latent-sector-error / bit-flip schedule. Times are
@@ -1590,63 +1528,79 @@ pub struct DurabilitySetup<'a> {
     /// When to verify blocks beyond checksum-on-read.
     pub scrub: ScrubPolicy,
     /// Blocks per disk in the scrub address space; must cover every block
-    /// coordinate the corruption plan targets.
+    /// coordinate the corruption plan targets ([`try_run`] rejects a plan
+    /// that does not).
     pub blocks_per_disk: u32,
 }
 
-/// Like [`run_cluster_faulted`], but additionally injects silent data
-/// corruption and crash/restart schedules and runs the durability layer:
-/// per-block CRC verification on every physical read, an opportunistic
-/// scrubber that rides Active spindles (never waking a sleeping disk),
-/// repair of detected blocks from replicas via the energy-aware selector,
-/// and a per-node buffer-disk metadata journal replayed at each restart.
-/// Integrity transfers are charged to the separate
-/// [`RunMetrics::scrub_energy_j`] meter. Corruption/crash plan times are
-/// replay-relative. A run stays a pure function of its inputs: the same
-/// (config, trace, plans, policy) replays bit-identically, every
-/// [`DurabilityStats`] counter included.
-pub fn run_cluster_durable(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    faults: &FaultPlan,
-    durability: DurabilitySetup<'_>,
-) -> RunMetrics {
-    run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        faults,
-        None,
-        Some(durability),
-        None,
-        None,
-    )
-    .0
+/// Everything a run does beyond the paper's: each field switches on one
+/// plane. [`Scenario::default()`] is the paper run.
+///
+/// Whatever is switched on, a run stays a pure function of
+/// `(cluster, cfg, trace, scenario)`: every random choice draws from a
+/// stream seeded by the plans and policies, so the same inputs replay
+/// bit-identically, every counter in [`RunMetrics`] included.
+#[derive(Debug, Clone, Default)]
+pub struct Scenario<'a> {
+    /// Disk failures, node crashes and spin-up failures. Plan times are
+    /// relative to the start of the trace replay (after the prefetch
+    /// warm-up). Requests that hit a dead node or disk are re-routed to
+    /// surviving replicas with a bounded retry budget; the run always
+    /// terminates and accounts every request, abandoned ones included
+    /// ([`RunMetrics::failed_requests`]). `None` is a healthy cluster.
+    pub faults: Option<&'a FaultPlan>,
+    /// Network faults on the server→node leg, with every request run
+    /// under the RPC resilience policy: bounded retries with deterministic
+    /// jittered backoff, per-node circuit breakers gating replica
+    /// selection, and hedged reads that race a second replica (whose
+    /// duplicate disk activations are charged to the run's energy — the
+    /// paper-relevant hedging penalty). Network plan times are
+    /// replay-relative. Counters land in [`ResilienceStats`]. `None` is a
+    /// perfect network.
+    pub resilience: Option<ResilienceSetup<'a>>,
+    /// Silent data corruption and crash/restart schedules, run through the
+    /// durability layer: per-block CRC verification on every physical
+    /// read, an opportunistic scrubber that rides Active spindles (never
+    /// waking a sleeping disk), repair of detected blocks from replicas via
+    /// the energy-aware selector, and a per-node buffer-disk metadata
+    /// journal replayed at each restart. Integrity transfers are charged to
+    /// the separate [`RunMetrics::scrub_energy_j`] meter; counters land in
+    /// [`DurabilityStats`]. Plan times are replay-relative. `None` disables
+    /// the durability layer.
+    pub durability: Option<DurabilitySetup<'a>>,
+    /// Drives every power and caching decision through the `eevfs-power`
+    /// policy plane built from this policy: the configured
+    /// [`eevfs_power::IdlePredictor`] decides when idle data disks spin
+    /// down (in place of the one `cfg` describes), sleeps are charged
+    /// against per-disk spin-cycle budgets, and reads are fronted by the
+    /// configured DRAM/SSD cache tiers — tier hits never touch the
+    /// data-disk spin-up path and are metered in [`RunMetrics::tier`].
+    /// Random policy choices draw from streams seeded by the policy's
+    /// `seed`. `None` runs the paper's manager as `cfg` describes it.
+    pub power: Option<&'a eevfs_power::PowerPolicy>,
+    /// Streams a structured trace into this recorder and collects a
+    /// metrics registry ([`RunOutput::obs`]). Observation is passive: no
+    /// extra simulation events exist, so every metric and every response
+    /// time is identical to the unobserved run, and the recorder's JSONL
+    /// export is byte-identical across same-input replays.
+    pub observe: Option<Recorder>,
+    /// Records the whole-cluster cumulative-energy curve
+    /// ([`RunOutput::curve`]): `(time, joules-so-far)` samples at 240
+    /// uniform points over the run, node/server base power included.
+    /// Differentiating it gives the power-over-time view of the run.
+    pub curve: bool,
 }
 
-/// Like [`run_cluster`], but also records and returns the whole-cluster
-/// cumulative-energy curve: `(time, joules-so-far)` samples at 240 uniform
-/// points over the run, including node/server base power. Differentiating
-/// the curve gives the power-over-time view of the experiment.
-pub fn run_cluster_traced(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-) -> (RunMetrics, sim_core::TimeSeries) {
-    let (metrics, curve, _) = run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        true,
-        &FaultPlan::none(),
-        None,
-        None,
-        None,
-        None,
-    );
-    (metrics, curve.expect("curve recording was requested"))
+/// What one run returns.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The paper's metrics plus every enabled plane's counters.
+    pub metrics: RunMetrics,
+    /// The cumulative-energy curve, when [`Scenario::curve`] was set.
+    pub curve: Option<sim_core::TimeSeries>,
+    /// The observation artefacts, when [`Scenario::observe`] carried a
+    /// recorder.
+    pub obs: Option<ObsReport>,
 }
 
 /// The artefacts an observed run captures on top of [`RunMetrics`].
@@ -1662,14 +1616,54 @@ pub struct ObsReport {
     pub samples: Vec<PredictionSample>,
 }
 
-/// Like [`run_cluster_faulted`] / [`run_cluster_resilient`] (pass
-/// `resilience: None` for a perfect network), but additionally streams a
-/// structured trace into `recorder` and collects a metrics registry.
+/// Runs one experiment: replays `trace` on `cluster` under `cfg`, with the
+/// planes `scenario` switches on. This is the one path into the
+/// simulation. It validates every input first, so machine-generated
+/// configurations — chaos-search schedules in particular — surface bad
+/// inputs as a [`DriverError`] instead of a panic.
+pub fn try_run(
+    cluster: &ClusterSpec,
+    cfg: &EevfsConfig,
+    trace: &Trace,
+    scenario: Scenario<'_>,
+) -> Result<RunOutput, DriverError> {
+    validate_inputs(cluster, trace, &scenario)?;
+    Ok(run_validated(cluster, cfg, trace, scenario))
+}
+
+/// The paper run: [`try_run`] with [`Scenario::default()`].
 ///
-/// Observation is passive: no extra simulation events exist, so the
-/// simulated outcome — every metric, every response time — is identical to
-/// the unobserved run, and the recorder's JSONL export is byte-identical
-/// across same-input replays.
+/// # Panics
+/// Panics on invalid cluster specs or traces — experiment configs are
+/// programmer input, not runtime data.
+pub fn run_cluster(cluster: &ClusterSpec, cfg: &EevfsConfig, trace: &Trace) -> RunMetrics {
+    try_run(cluster, cfg, trace, Scenario::default())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .metrics
+}
+
+/// [`try_run`] with only [`Scenario::power`] set; panics on bad input like
+/// [`run_cluster`]. Kept because the benchmark package (`perfbench/`)
+/// calls it and is changed only together with the benchmark.
+pub fn run_cluster_powered(
+    cluster: &ClusterSpec,
+    cfg: &EevfsConfig,
+    trace: &Trace,
+    policy: &eevfs_power::PowerPolicy,
+) -> RunMetrics {
+    let scenario = Scenario {
+        power: Some(policy),
+        ..Scenario::default()
+    };
+    try_run(cluster, cfg, trace, scenario)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .metrics
+}
+
+/// [`try_run`] with [`Scenario::faults`], [`Scenario::resilience`] and
+/// [`Scenario::observe`] set; panics on bad input like [`run_cluster`].
+/// Kept because the benchmark package (`perfbench/`) calls it and is
+/// changed only together with the benchmark.
 pub fn run_cluster_observed(
     cluster: &ClusterSpec,
     cfg: &EevfsConfig,
@@ -1678,64 +1672,29 @@ pub fn run_cluster_observed(
     resilience: Option<ResilienceSetup<'_>>,
     recorder: Recorder,
 ) -> (RunMetrics, ObsReport) {
-    let (metrics, _, report) = run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        faults,
+    let scenario = Scenario {
+        faults: Some(faults),
         resilience,
-        None,
-        Some(recorder),
-        None,
-    );
-    (metrics, report.expect("observation was requested"))
+        observe: Some(recorder),
+        ..Scenario::default()
+    };
+    let out = try_run(cluster, cfg, trace, scenario).unwrap_or_else(|e| panic!("{e}"));
+    (out.metrics, out.obs.expect("a recorder was passed"))
 }
 
-/// Like [`run_cluster`], but drives every power and caching decision
-/// through the `eevfs-power` policy plane built from `policy`: the
-/// configured [`eevfs_power::IdlePredictor`] decides when idle data disks
-/// spin down (in place of the one `cfg` describes), sleeps are
-/// charged against per-disk spin-cycle budgets, and reads are fronted by
-/// the configured DRAM/SSD cache tiers — tier hits never touch the
-/// data-disk spin-up path and are metered in [`RunMetrics::tier`]. The
-/// run stays a pure function of `(cluster, cfg, trace, policy)`: every
-/// random policy choice draws from streams seeded by `policy.seed`, so
-/// same-input replays are bit-identical.
-pub fn run_cluster_powered(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    policy: &eevfs_power::PowerPolicy,
-) -> RunMetrics {
-    run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        &FaultPlan::none(),
-        None,
-        None,
-        None,
-        Some(policy),
-    )
-    .0
-}
-
-/// A typed rejection from the fallible driver entry points.
+/// A typed rejection from [`try_run`].
 ///
-/// The panicking entry points ([`run_cluster`] and friends) treat these as
-/// programmer errors; the fallible ones ([`try_run_cluster_chaos`]) return
-/// them so machine-generated configurations — chaos-search schedules in
-/// particular — surface bad inputs as data instead of unwinding.
+/// The panicking wrappers ([`run_cluster`] and friends) treat these as
+/// programmer errors; [`try_run`] returns them so machine-generated
+/// configurations surface bad inputs as data instead of unwinding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DriverError {
     /// The cluster spec failed [`ClusterSpec::validate`].
     BadCluster(String),
     /// The trace failed `Trace::validate`.
     BadTrace(String),
-    /// A fault/net/corruption/crash plan targets nodes, disks, or links
-    /// outside the cluster. `plan` names the offending plan.
+    /// A fault/net/corruption/crash plan targets nodes, disks, links or
+    /// blocks outside the cluster. `plan` names the offending plan.
     PlanOutOfRange {
         /// Which plan was rejected ("fault", "net", "corruption", "crash").
         plan: &'static str,
@@ -1762,9 +1721,7 @@ impl std::error::Error for DriverError {}
 fn validate_inputs(
     cluster: &ClusterSpec,
     trace: &Trace,
-    faults: &FaultPlan,
-    resilience: Option<&ResilienceSetup<'_>>,
-    durability: Option<&DurabilitySetup<'_>>,
+    scenario: &Scenario<'_>,
 ) -> Result<(), DriverError> {
     cluster
         .validate()
@@ -1772,171 +1729,52 @@ fn validate_inputs(
     trace
         .validate()
         .map_err(|e| DriverError::BadTrace(e.to_string()))?;
+    let nodes = cluster.node_count() as u32;
     let max_disks = cluster.data_disk_counts().into_iter().max().unwrap_or(0) as u32;
-    let stray = faults.out_of_range(cluster.node_count() as u32, max_disks);
-    if !stray.is_empty() {
-        return Err(DriverError::PlanOutOfRange {
-            plan: "fault",
-            detail: format!("{stray:?}"),
-        });
+    if let Some(faults) = scenario.faults {
+        reject("fault", faults.out_of_range(nodes, max_disks))?;
     }
-    if let Some(setup) = resilience {
-        let stray = setup.net_plan.out_of_range(cluster.node_count() as u32);
-        if !stray.is_empty() {
-            return Err(DriverError::PlanOutOfRange {
-                plan: "net",
-                detail: format!("{stray:?}"),
-            });
-        }
+    if let Some(setup) = &scenario.resilience {
+        reject("net", setup.net_plan.out_of_range(nodes))?;
     }
-    if let Some(d) = durability {
+    if let Some(d) = &scenario.durability {
         let stray = d
             .corruption
-            .out_of_range(cluster.node_count() as u32, max_disks);
-        if !stray.is_empty() {
-            return Err(DriverError::PlanOutOfRange {
-                plan: "corruption",
-                detail: format!("{stray:?}"),
-            });
-        }
-        let stray = d.crashes.out_of_range(cluster.node_count() as u32);
-        if !stray.is_empty() {
-            return Err(DriverError::PlanOutOfRange {
-                plan: "crash",
-                detail: format!("{stray:?}"),
-            });
-        }
+            .out_of_range(nodes, max_disks, d.blocks_per_disk);
+        reject("corruption", stray)?;
+        reject("crash", d.crashes.out_of_range(nodes))?;
     }
     Ok(())
 }
 
-/// The full adversarial composition for [`try_run_cluster_chaos`]: disk
-/// faults plus any subset of network resilience, durability, and the
-/// `eevfs-power` policy plane, all active in one run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChaosSetup<'a> {
-    /// Network faults + RPC policy; `None` for a perfect network.
-    pub resilience: Option<ResilienceSetup<'a>>,
-    /// Corruption/crash schedules + scrubbing; `None` disables the
-    /// durability layer.
-    pub durability: Option<DurabilitySetup<'a>>,
-    /// Power policy; `None` runs the paper's manager as `cfg` describes it.
-    pub power: Option<&'a eevfs_power::PowerPolicy>,
-}
-
-/// Runs the full composite: every fault dimension the driver knows about,
-/// enabled at once. This is the chaos-search entry point — unlike the
-/// single-dimension wrappers above it accepts machine-generated plans, so
-/// it validates them and returns a [`DriverError`] instead of panicking.
-/// Determinism is unchanged: the run is a pure function of
-/// `(cluster, cfg, trace, faults, setup)` and replays bit-identically.
-pub fn try_run_cluster_chaos(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    faults: &FaultPlan,
-    setup: ChaosSetup<'_>,
-) -> Result<RunMetrics, DriverError> {
-    validate_inputs(
-        cluster,
-        trace,
-        faults,
-        setup.resilience.as_ref(),
-        setup.durability.as_ref(),
-    )?;
-    Ok(run_validated(
-        cluster,
-        cfg,
-        trace,
-        false,
-        faults,
-        setup.resilience,
-        setup.durability,
-        None,
-        setup.power,
-    )
-    .0)
-}
-
-/// [`try_run_cluster_chaos`] with the structured trace streamed into
-/// `recorder` — the audit plane's entry point for replaying a chaos
-/// scenario with energy attribution enabled. Observation is passive: the
-/// returned metrics are bit-identical to the unobserved run's.
-pub fn try_run_cluster_chaos_observed(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    faults: &FaultPlan,
-    setup: ChaosSetup<'_>,
-    recorder: Recorder,
-) -> Result<(RunMetrics, ObsReport), DriverError> {
-    validate_inputs(
-        cluster,
-        trace,
-        faults,
-        setup.resilience.as_ref(),
-        setup.durability.as_ref(),
-    )?;
-    let (metrics, _, report) = run_validated(
-        cluster,
-        cfg,
-        trace,
-        false,
-        faults,
-        setup.resilience,
-        setup.durability,
-        Some(recorder),
-        setup.power,
-    );
-    Ok((metrics, report.expect("recorder was supplied")))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_cluster_inner(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    record_curve: bool,
-    faults: &FaultPlan,
-    resilience: Option<ResilienceSetup<'_>>,
-    durability: Option<DurabilitySetup<'_>>,
-    obs: Option<Recorder>,
-    power_plane: Option<&eevfs_power::PowerPolicy>,
-) -> (RunMetrics, Option<sim_core::TimeSeries>, Option<ObsReport>) {
-    validate_inputs(
-        cluster,
-        trace,
-        faults,
-        resilience.as_ref(),
-        durability.as_ref(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    run_validated(
-        cluster,
-        cfg,
-        trace,
-        record_curve,
-        faults,
-        resilience,
-        durability,
-        obs,
-        power_plane,
-    )
+/// A [`DriverError::PlanOutOfRange`] naming `plan` unless `stray` is empty.
+fn reject<T: std::fmt::Debug>(plan: &'static str, stray: Vec<T>) -> Result<(), DriverError> {
+    if stray.is_empty() {
+        return Ok(());
+    }
+    Err(DriverError::PlanOutOfRange {
+        plan,
+        detail: format!("{stray:?}"),
+    })
 }
 
 /// The simulation proper; inputs are assumed validated.
-#[allow(clippy::too_many_arguments)]
 fn run_validated(
     cluster: &ClusterSpec,
     cfg: &EevfsConfig,
     trace: &Trace,
-    record_curve: bool,
-    faults: &FaultPlan,
-    resilience: Option<ResilienceSetup<'_>>,
-    durability: Option<DurabilitySetup<'_>>,
-    obs: Option<Recorder>,
-    power_plane: Option<&eevfs_power::PowerPolicy>,
-) -> (RunMetrics, Option<sim_core::TimeSeries>, Option<ObsReport>) {
+    scenario: Scenario<'_>,
+) -> RunOutput {
+    let Scenario {
+        faults,
+        resilience,
+        durability,
+        power: power_plane,
+        observe: obs,
+        curve: record_curve,
+    } = scenario;
+    let no_faults = FaultPlan::none();
+    let faults = faults.unwrap_or(&no_faults);
     // Steps 1-2: popularity and placement.
     let popularity = PopularityTable::from_trace(trace);
     let placement = place(cfg.placement, &popularity, &cluster.data_disk_counts());
@@ -2715,7 +2553,11 @@ fn run_validated(
         overload,
         per_node,
     };
-    (metrics, curve, report)
+    RunOutput {
+        metrics,
+        curve,
+        obs: report,
+    }
 }
 
 #[cfg(test)]
@@ -2731,6 +2573,39 @@ mod tests {
             requests,
             ..SyntheticSpec::paper_default()
         })
+    }
+
+    /// [`try_run`], panicking with the error's message on bad input.
+    fn run(
+        cluster: &ClusterSpec,
+        cfg: &EevfsConfig,
+        trace: &Trace,
+        scenario: Scenario<'_>,
+    ) -> RunMetrics {
+        try_run(cluster, cfg, trace, scenario)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .metrics
+    }
+
+    fn faulted(faults: &FaultPlan) -> Scenario<'_> {
+        Scenario {
+            faults: Some(faults),
+            ..Scenario::default()
+        }
+    }
+
+    fn resilient(setup: ResilienceSetup<'_>) -> Scenario<'_> {
+        Scenario {
+            resilience: Some(setup),
+            ..Scenario::default()
+        }
+    }
+
+    fn durable(setup: DurabilitySetup<'_>) -> Scenario<'_> {
+        Scenario {
+            durability: Some(setup),
+            ..Scenario::default()
+        }
     }
 
     #[test]
@@ -3014,7 +2889,12 @@ mod tests {
     fn traced_run_curve_matches_metrics() {
         let trace = small_trace(100.0, 150);
         let cluster = ClusterSpec::paper_testbed();
-        let (m, curve) = super::run_cluster_traced(&cluster, &EevfsConfig::paper_pf(70), &trace);
+        let scenario = Scenario {
+            curve: true,
+            ..Scenario::default()
+        };
+        let out = try_run(&cluster, &EevfsConfig::paper_pf(70), &trace, scenario).unwrap();
+        let (m, curve) = (out.metrics, out.curve.unwrap());
         // The curve covers the whole run and ends at the run's total
         // energy including the warm-up share.
         let (t_end, e_end) = curve.last().expect("non-empty curve");
@@ -3056,7 +2936,7 @@ mod tests {
         let mid = trace.records[trace.len() / 2].at;
         let faults = FaultPlan::builder().node_crash(mid, 0).build();
         let cfg = EevfsConfig::paper_pf_replicated(70, 2);
-        let m = run_cluster_faulted(&cluster, &cfg, &trace, &faults);
+        let m = run(&cluster, &cfg, &trace, faulted(&faults));
         assert_eq!(m.response.count, 300);
         assert_eq!(m.failed_requests, 0, "replicas must absorb the crash");
         assert_eq!(m.fault_events, 1);
@@ -3073,7 +2953,7 @@ mod tests {
         let mid = trace.records[trace.len() / 2].at;
         let faults = FaultPlan::builder().disk_fail(mid, 1, 0).build();
         let cfg = EevfsConfig::paper_pf_replicated(70, 2);
-        let m = run_cluster_faulted(&cluster, &cfg, &trace, &faults);
+        let m = run(&cluster, &cfg, &trace, faulted(&faults));
         assert_eq!(m.response.count, 300);
         assert_eq!(m.failed_requests, 0);
     }
@@ -3089,7 +2969,12 @@ mod tests {
             .node_crash(mid, 2)
             .node_restart(mid + SimDuration::from_secs(10), 2)
             .build();
-        let m = run_cluster_faulted(&cluster, &EevfsConfig::paper_pf(70), &trace, &faults);
+        let m = run(
+            &cluster,
+            &EevfsConfig::paper_pf(70),
+            &trace,
+            faulted(&faults),
+        );
         assert_eq!(m.response.count, 200);
         assert_eq!(m.failed_requests, 0);
         assert_eq!(m.fault_events, 2);
@@ -3103,7 +2988,12 @@ mod tests {
         let trace = small_trace(1000.0, 100);
         let cluster = ClusterSpec::paper_testbed();
         let faults = FaultPlan::builder().node_crash(SimTime::ZERO, 0).build();
-        let m = run_cluster_faulted(&cluster, &EevfsConfig::paper_npf(), &trace, &faults);
+        let m = run(
+            &cluster,
+            &EevfsConfig::paper_npf(),
+            &trace,
+            faulted(&faults),
+        );
         assert_eq!(m.response.count, 100);
         assert!(m.failed_requests > 0, "node 0's files are unreachable");
         assert!(m.failed_requests < 100, "other nodes still serve");
@@ -3125,8 +3015,8 @@ mod tests {
             spin_up_fail_per_hour: 12.0,
         });
         let cfg = EevfsConfig::paper_pf_replicated(70, 2);
-        let a = run_cluster_faulted(&cluster, &cfg, &trace, &faults);
-        let b = run_cluster_faulted(&cluster, &cfg, &trace, &faults);
+        let a = run(&cluster, &cfg, &trace, faulted(&faults));
+        let b = run(&cluster, &cfg, &trace, faulted(&faults));
         assert_eq!(
             a, b,
             "same (config, trace, fault plan) must replay bit-identically"
@@ -3146,7 +3036,12 @@ mod tests {
                 b = b.spin_up_fail(SimTime::from_secs(1), node, disk);
             }
         }
-        let m = run_cluster_faulted(&cluster, &EevfsConfig::paper_pf(70), &trace, &b.build());
+        let m = run(
+            &cluster,
+            &EevfsConfig::paper_pf(70),
+            &trace,
+            faulted(&b.build()),
+        );
         assert_eq!(m.response.count, 300);
         assert_eq!(m.failed_requests, 0, "poisoning is transient");
         assert!(m.spin_up_failures > 0, "some wake attempt must fail");
@@ -3158,7 +3053,83 @@ mod tests {
         let trace = small_trace(100.0, 10);
         let cluster = ClusterSpec::paper_testbed();
         let faults = FaultPlan::builder().node_crash(SimTime::ZERO, 99).build();
-        let _ = run_cluster_faulted(&cluster, &EevfsConfig::paper_npf(), &trace, &faults);
+        let _ = run(
+            &cluster,
+            &EevfsConfig::paper_npf(),
+            &trace,
+            faulted(&faults),
+        );
+    }
+
+    #[test]
+    fn try_run_returns_a_typed_error_for_each_bad_input() {
+        let trace = small_trace(100.0, 10);
+        let cluster = ClusterSpec::paper_testbed();
+        let no_nodes = ClusterSpec {
+            nodes: Vec::new(),
+            ..cluster.clone()
+        };
+        let mut unsorted = trace.clone();
+        unsorted.records[0].at = SimTime::from_secs(1_000_000);
+        let faults = FaultPlan::builder().node_crash(SimTime::ZERO, 99).build();
+        let net_plan = NetFaultPlan::partition_window(99, SimTime::ZERO, SimTime::from_secs(1));
+        let (profile, policy) = (LinkFaultProfile::none(), sim_policy());
+        let net = ResilienceSetup {
+            net_plan: &net_plan,
+            profile: &profile,
+            policy: &policy,
+        };
+        let (none, no_crashes) = no_durability();
+        let stray_node = CorruptionPlan::builder()
+            .lse(SimTime::ZERO, 99, 0, 0)
+            .build();
+        let last_block = CorruptionPlan::builder()
+            .lse(SimTime::ZERO, 0, 0, 63)
+            .build();
+        let stray_block = CorruptionPlan::builder()
+            .lse(SimTime::ZERO, 0, 0, 64)
+            .build();
+        let crashes = CrashPlan::one(99, SimTime::ZERO, SimTime::from_secs(1));
+        let setup = |corruption, crashes| {
+            durable(DurabilitySetup {
+                corruption,
+                crashes,
+                scrub: ScrubPolicy::piggyback_default(),
+                blocks_per_disk: 64,
+            })
+        };
+        let cases = [
+            (&no_nodes, &trace, Scenario::default(), "cluster"),
+            (&cluster, &unsorted, Scenario::default(), "trace"),
+            (&cluster, &trace, faulted(&faults), "fault"),
+            (&cluster, &trace, resilient(net), "net"),
+            (
+                &cluster,
+                &trace,
+                setup(&stray_node, &no_crashes),
+                "corruption",
+            ),
+            (
+                &cluster,
+                &trace,
+                setup(&stray_block, &no_crashes),
+                "corruption",
+            ),
+            (&cluster, &trace, setup(&none, &crashes), "crash"),
+        ];
+        let cfg = EevfsConfig::paper_pf(70);
+        for (cluster, trace, scenario, want) in cases {
+            let got = match try_run(cluster, &cfg, trace, scenario) {
+                Ok(_) => panic!("expected a {want} rejection, the run went ahead"),
+                Err(DriverError::BadCluster(_)) => "cluster",
+                Err(DriverError::BadTrace(_)) => "trace",
+                Err(DriverError::PlanOutOfRange { plan, .. }) => plan,
+            };
+            assert_eq!(got, want);
+        }
+        // The last block of the scrub space is still inside it.
+        let edge = try_run(&cluster, &cfg, &trace, setup(&last_block, &no_crashes));
+        assert!(edge.is_ok(), "{:?}", edge.err());
     }
 
     fn sim_policy() -> RpcPolicy {
@@ -3176,17 +3147,16 @@ mod tests {
         let trace = small_trace(1000.0, 200);
         let cluster = ClusterSpec::paper_testbed();
         let cfg = EevfsConfig::paper_pf_replicated(70, 2);
-        let plain = run_cluster_faulted(&cluster, &cfg, &trace, &FaultPlan::none());
-        let resilient = run_cluster_resilient(
+        let plain = run(&cluster, &cfg, &trace, Scenario::default());
+        let resilient = run(
             &cluster,
             &cfg,
             &trace,
-            &FaultPlan::none(),
-            ResilienceSetup {
+            resilient(ResilienceSetup {
                 net_plan: &NetFaultPlan::none(),
                 profile: &LinkFaultProfile::none(),
                 policy: &sim_policy(),
-            },
+            }),
         );
         assert_eq!(resilient.resilience, ResilienceStats::default());
         let mut stripped = resilient.clone();
@@ -3219,8 +3189,8 @@ mod tests {
             profile: &profile,
             policy: &policy,
         };
-        let a = run_cluster_resilient(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
-        let b = run_cluster_resilient(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
+        let a = run(&cluster, &cfg, &trace, resilient(setup));
+        let b = run(&cluster, &cfg, &trace, resilient(setup));
         assert_eq!(a, b, "resilient replays must be bit-identical");
         assert_eq!(a.response.count, 300);
         assert!(a.resilience.rpc_drops > 0, "{:?}", a.resilience);
@@ -3245,16 +3215,15 @@ mod tests {
             },
             ..sim_policy()
         };
-        let m = run_cluster_resilient(
+        let m = run(
             &cluster,
             &cfg,
             &trace,
-            &FaultPlan::none(),
-            ResilienceSetup {
+            resilient(ResilienceSetup {
                 net_plan: &net_plan,
                 profile: &LinkFaultProfile::none(),
                 policy: &policy,
-            },
+            }),
         );
         assert_eq!(m.response.count, 300);
         assert_eq!(m.failed_requests, 0, "replicas must absorb the partition");
@@ -3291,16 +3260,15 @@ mod tests {
             ..base.clone()
         };
         let run = |policy: &RpcPolicy| {
-            run_cluster_resilient(
+            run(
                 &cluster,
                 &cfg,
                 &trace,
-                &FaultPlan::none(),
-                ResilienceSetup {
+                resilient(ResilienceSetup {
                     net_plan: &NetFaultPlan::none(),
                     profile: &profile,
                     policy,
-                },
+                }),
             )
         };
         let without = run(&base);
@@ -3348,19 +3316,18 @@ mod tests {
         let trace = small_trace(1000.0, 200);
         let cluster = ClusterSpec::paper_testbed();
         let cfg = EevfsConfig::paper_pf_replicated(70, 2);
-        let plain = run_cluster_faulted(&cluster, &cfg, &trace, &FaultPlan::none());
+        let plain = run(&cluster, &cfg, &trace, Scenario::default());
         let (corruption, crashes) = no_durability();
-        let durable = run_cluster_durable(
+        let durable = run(
             &cluster,
             &cfg,
             &trace,
-            &FaultPlan::none(),
-            DurabilitySetup {
+            durable(DurabilitySetup {
                 corruption: &corruption,
                 crashes: &crashes,
                 scrub: ScrubPolicy::Off,
                 blocks_per_disk: 64,
-            },
+            }),
         );
         assert_eq!(durable.scrub_energy_j, 0.0);
         assert!(
@@ -3388,8 +3355,8 @@ mod tests {
             scrub: ScrubPolicy::piggyback_default(),
             blocks_per_disk: 64,
         };
-        let a = run_cluster_durable(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
-        let b = run_cluster_durable(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
+        let a = run(&cluster, &cfg, &trace, durable(setup));
+        let b = run(&cluster, &cfg, &trace, durable(setup));
         assert_eq!(a, b, "durable replays must be bit-identical");
         assert_eq!(a.response.count, 300);
         assert!(a.durability.corruptions_landed > 0);
@@ -3422,17 +3389,16 @@ mod tests {
         let cluster = ClusterSpec::paper_testbed();
         let corruption = blanket_corruption(SimTime::from_secs(1), 64);
         let crashes = CrashPlan::none();
-        let m = run_cluster_durable(
+        let m = run(
             &cluster,
             &EevfsConfig::paper_pf(70),
             &trace,
-            &FaultPlan::none(),
-            DurabilitySetup {
+            durable(DurabilitySetup {
                 corruption: &corruption,
                 crashes: &crashes,
                 scrub: ScrubPolicy::piggyback_default(),
                 blocks_per_disk: 64,
-            },
+            }),
         );
         assert!(
             m.durability.unrecoverable_blocks > 0,
@@ -3449,17 +3415,16 @@ mod tests {
         let cfg = EevfsConfig::paper_pf_replicated(70, 2);
         let corruption = blanket_corruption(SimTime::from_secs(1), 64);
         let crashes = CrashPlan::none();
-        let m = run_cluster_durable(
+        let m = run(
             &cluster,
             &cfg,
             &trace,
-            &FaultPlan::none(),
-            DurabilitySetup {
+            durable(DurabilitySetup {
                 corruption: &corruption,
                 crashes: &crashes,
                 scrub: ScrubPolicy::Off,
                 blocks_per_disk: 64,
-            },
+            }),
         );
         assert_eq!(m.durability.scrub_passes, 0);
         assert_eq!(m.durability.detected_by_scrub, 0);
@@ -3477,17 +3442,16 @@ mod tests {
         let mid = trace.records[trace.len() / 2].at;
         let corruption = CorruptionPlan::none();
         let crashes = CrashPlan::one(2, mid, mid + SimDuration::from_secs(10));
-        let m = run_cluster_durable(
+        let m = run(
             &cluster,
             &EevfsConfig::paper_pf(70),
             &trace,
-            &FaultPlan::none(),
-            DurabilitySetup {
+            durable(DurabilitySetup {
                 corruption: &corruption,
                 crashes: &crashes,
                 scrub: ScrubPolicy::Off,
                 blocks_per_disk: 64,
-            },
+            }),
         );
         assert_eq!(m.response.count, 200);
         assert_eq!(m.failed_requests, 0, "restart lands inside retry budget");
@@ -3511,18 +3475,12 @@ mod tests {
             blocks_per_disk: 64,
         };
         let observed = || {
-            try_run_cluster_chaos_observed(
-                &cluster,
-                &cfg,
-                &trace,
-                &FaultPlan::none(),
-                ChaosSetup {
-                    durability: Some(setup),
-                    ..ChaosSetup::default()
-                },
-                Recorder::default(),
-            )
-            .unwrap()
+            let scenario = Scenario {
+                observe: Some(Recorder::default()),
+                ..durable(setup)
+            };
+            let out = try_run(&cluster, &cfg, &trace, scenario).unwrap();
+            (out.metrics, out.obs.unwrap())
         };
         let (m1, r1) = observed();
         let (m2, r2) = observed();
@@ -3538,7 +3496,7 @@ mod tests {
         assert!(has(&|k| matches!(k, EventKind::JournalReplay { .. })));
         assert!(has(&|k| matches!(k, EventKind::NodeRestart { .. })));
         // Observation stays passive.
-        let plain = run_cluster_durable(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
+        let plain = run(&cluster, &cfg, &trace, durable(setup));
         assert_eq!(m1, plain);
     }
 

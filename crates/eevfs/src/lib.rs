@@ -62,7 +62,5 @@ pub mod scrub;
 pub mod server;
 
 pub use config::{ClusterSpec, EevfsConfig, NodeSpec};
-pub use driver::{
-    run_cluster, run_cluster_powered, try_run_cluster_chaos, ChaosSetup, DriverError,
-};
+pub use driver::{run_cluster, run_cluster_powered, try_run, DriverError, RunOutput, Scenario};
 pub use metrics::RunMetrics;

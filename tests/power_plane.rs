@@ -4,8 +4,7 @@
 
 use eevfs::config::{ArrivalMode, ClusterSpec, EevfsConfig, PowerPolicy as StaticPower};
 use eevfs::driver::{
-    run_cluster, run_cluster_durable, run_cluster_observed, run_cluster_powered,
-    try_run_cluster_chaos_observed, ChaosSetup, DurabilitySetup,
+    run_cluster, run_cluster_observed, run_cluster_powered, try_run, DurabilitySetup, Scenario,
 };
 use eevfs::scrub::ScrubPolicy;
 use eevfs_power::{EvictionPolicy, PowerPolicy, TierConfig};
@@ -33,19 +32,18 @@ fn every_variant_scores_predictions_identically() {
 
     let corruption = CorruptionPlan::none();
     let crashes = CrashPlan::none();
-    let durable = run_cluster_durable(
-        &cluster,
-        &cfg,
-        &trace,
-        &FaultPlan::none(),
-        DurabilitySetup {
-            corruption: &corruption,
-            crashes: &crashes,
-            scrub: ScrubPolicy::Off,
-            blocks_per_disk: 64,
-        },
-    );
-    assert_eq!(plain.prediction, durable.prediction);
+    let durability = DurabilitySetup {
+        corruption: &corruption,
+        crashes: &crashes,
+        scrub: ScrubPolicy::Off,
+        blocks_per_disk: 64,
+    };
+    let scenario = Scenario {
+        durability: Some(durability),
+        ..Scenario::default()
+    };
+    let durable = try_run(&cluster, &cfg, &trace, scenario).expect("valid inputs");
+    assert_eq!(plain.prediction, durable.metrics.prediction);
 
     let (observed, _) = run_cluster_observed(
         &cluster,
@@ -89,19 +87,14 @@ fn powered_observation_is_passive() {
         policy: EvictionPolicy::Lru,
     });
     let bare = run_cluster_powered(&cluster, &cfg, &trace, &policy);
-    let (observed, report) = try_run_cluster_chaos_observed(
-        &cluster,
-        &cfg,
-        &trace,
-        &FaultPlan::none(),
-        ChaosSetup {
-            power: Some(&policy),
-            ..ChaosSetup::default()
-        },
-        eevfs_obs::Recorder::default(),
-    )
-    .expect("valid inputs");
-    assert_eq!(bare, observed, "observation must be passive");
+    let scenario = Scenario {
+        power: Some(&policy),
+        observe: Some(eevfs_obs::Recorder::default()),
+        ..Scenario::default()
+    };
+    let observed = try_run(&cluster, &cfg, &trace, scenario).expect("valid inputs");
+    assert_eq!(bare, observed.metrics, "observation must be passive");
+    let report = observed.obs.expect("a recorder was passed");
     assert_eq!(
         report.registry.counter("tier_dram_hits"),
         bare.tier.dram_hits,

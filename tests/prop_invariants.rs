@@ -82,7 +82,7 @@ proptest! {
     /// config replay bit-identically for the same (config, seed, plan).
     #[test]
     fn faulted_replay_determinism(spec in arb_spec(), fault_seed in any::<u64>()) {
-        use eevfs::driver::run_cluster_faulted;
+        use eevfs::driver::{try_run, Scenario};
         use fault_model::{FaultPlan, FaultSpec};
         let trace = generate(&spec);
         let cluster = ClusterSpec::paper_testbed();
@@ -98,8 +98,11 @@ proptest! {
             spin_up_fail_per_hour: 20.0,
         });
         let cfg = EevfsConfig::paper_pf_replicated(20, 2);
-        let a = run_cluster_faulted(&cluster, &cfg, &trace, &faults);
-        let b = run_cluster_faulted(&cluster, &cfg, &trace, &faults);
+        let run = || {
+            let scenario = Scenario { faults: Some(&faults), ..Scenario::default() };
+            try_run(&cluster, &cfg, &trace, scenario).expect("valid inputs").metrics
+        };
+        let (a, b) = (run(), run());
         prop_assert_eq!(a, b);
     }
 }

@@ -12,9 +12,8 @@
 use eevfs_audit::{build_ledger, reconstruct_spans, AttributionModel, ResidencyTable};
 use eevfs_bench::attribution::build_attribution_report;
 use eevfs_bench::{Runner, SweepParams};
-use eevfs_chaos::{
-    execute, execute_observed, generate_schedule, ObservedOutcome, RunOutcome, SeverityEnvelope,
-};
+use eevfs_chaos::{execute, generate_schedule, RunOutcome, SeverityEnvelope};
+use eevfs_obs::Recorder;
 use proptest::prelude::*;
 
 proptest! {
@@ -25,17 +24,17 @@ proptest! {
     #[test]
     fn ledger_closes_under_arbitrary_chaos(index in 0u32..500, seed in any::<u64>()) {
         let schedule = generate_schedule(&SeverityEnvelope::default_search(), seed, index);
-        let observed = execute_observed(&schedule);
-        let plain = execute(&schedule);
+        let observed = execute(&schedule, Some(Recorder::default()));
+        let plain = execute(&schedule, None);
         let (metrics, report) = match (observed, plain) {
-            (ObservedOutcome::Done(m, r), RunOutcome::Done(p)) => {
+            (RunOutcome::Done(o), RunOutcome::Done(p)) => {
                 // Passivity: the recorder must not perturb the run.
-                let a = serde_json::to_string(&*m).expect("serialize");
-                let b = serde_json::to_string(&*p).expect("serialize");
+                let a = serde_json::to_string(&o.metrics).expect("serialize");
+                let b = serde_json::to_string(&p.metrics).expect("serialize");
                 prop_assert_eq!(a, b, "recorder changed the metrics");
-                (m, r)
+                (o.metrics, o.obs.expect("a recorder was passed"))
             }
-            (ObservedOutcome::Rejected(a), RunOutcome::Rejected(b)) => {
+            (RunOutcome::Rejected(a), RunOutcome::Rejected(b)) => {
                 prop_assert_eq!(a, b);
                 return Ok(());
             }

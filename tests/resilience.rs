@@ -10,8 +10,8 @@
 
 use eevfs::config::ClusterSpec;
 use eevfs::config::EevfsConfig;
-use eevfs::driver::{run_cluster_resilient, ResilienceSetup};
-use fault_model::FaultPlan;
+use eevfs::driver::{try_run, ResilienceSetup, Scenario};
+use eevfs::RunMetrics;
 use fault_model::{LinkFaultProfile, NetFaultPlan, NetFaultSpec, RpcPolicy};
 use sim_core::SimDuration;
 use workload::synthetic::{generate, SyntheticSpec};
@@ -23,6 +23,24 @@ fn trace(requests: u32) -> workload::record::Trace {
         mean_size_bytes: 1_000_000,
         ..SyntheticSpec::paper_default()
     })
+}
+
+fn simulate(
+    cluster: &ClusterSpec,
+    cfg: &EevfsConfig,
+    trace: &workload::record::Trace,
+    scenario: Scenario<'_>,
+) -> RunMetrics {
+    try_run(cluster, cfg, trace, scenario)
+        .expect("valid inputs")
+        .metrics
+}
+
+fn resilient(setup: ResilienceSetup<'_>) -> Scenario<'_> {
+    Scenario {
+        resilience: Some(setup),
+        ..Scenario::default()
+    }
 }
 
 #[test]
@@ -52,8 +70,8 @@ fn seeded_fault_replay_is_bit_identical() {
         profile: &profile,
         policy: &policy,
     };
-    let a = run_cluster_resilient(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
-    let b = run_cluster_resilient(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
+    let a = simulate(&cluster, &cfg, &trace, resilient(setup));
+    let b = simulate(&cluster, &cfg, &trace, resilient(setup));
     assert_eq!(a, b, "seeded fault replay must be bit-identical");
     // The run must actually have exercised the machinery it claims to
     // reproduce — an accidentally-perfect network would make the
@@ -70,7 +88,6 @@ fn observed_fault_replay_emits_bit_identical_jsonl() {
     // recording a trace must not perturb the run, and the exported JSONL
     // must be byte-identical across same-seed replays — including under
     // injected faults, where RPC retry/hedge events join the stream.
-    use eevfs::driver::run_cluster_observed;
     use eevfs_obs::{EventKind, Recorder};
     let trace = trace(300);
     let cluster = ClusterSpec::paper_testbed();
@@ -82,22 +99,21 @@ fn observed_fault_replay_emits_bit_identical_jsonl() {
         ..RpcPolicy::retrying(SimDuration::from_secs(60), SimDuration::from_secs(3), 4)
     };
     let net_plan = NetFaultPlan::none();
-    let run = || {
-        run_cluster_observed(
-            &cluster,
-            &cfg,
-            &trace,
-            &FaultPlan::none(),
-            Some(ResilienceSetup {
-                net_plan: &net_plan,
-                profile: &profile,
-                policy: &policy,
-            }),
-            Recorder::default(),
-        )
+    let setup = ResilienceSetup {
+        net_plan: &net_plan,
+        profile: &profile,
+        policy: &policy,
     };
-    let (ma, ra) = run();
-    let (mb, rb) = run();
+    let observed = || {
+        let scenario = Scenario {
+            observe: Some(Recorder::default()),
+            ..resilient(setup)
+        };
+        let out = try_run(&cluster, &cfg, &trace, scenario).expect("valid inputs");
+        (out.metrics, out.obs.expect("a recorder was passed"))
+    };
+    let (ma, ra) = observed();
+    let (mb, rb) = observed();
     assert_eq!(ma, mb, "observed metrics must replay bit-identically");
     assert_eq!(
         ra.recorder.to_jsonl(),
@@ -106,17 +122,7 @@ fn observed_fault_replay_emits_bit_identical_jsonl() {
     );
     // Observation must be passive: the observed metrics equal the plain
     // resilient run's.
-    let plain = run_cluster_resilient(
-        &cluster,
-        &cfg,
-        &trace,
-        &FaultPlan::none(),
-        ResilienceSetup {
-            net_plan: &net_plan,
-            profile: &profile,
-            policy: &policy,
-        },
-    );
+    let plain = simulate(&cluster, &cfg, &trace, resilient(setup));
     assert_eq!(ma, plain, "recording a trace must not perturb the run");
     // The faults actually left marks in the trace stream.
     assert!(ma.resilience.rpc_retries > 0, "{:?}", ma.resilience);
@@ -152,17 +158,12 @@ fn plan_seed_actually_steers_the_faults() {
         ..RpcPolicy::retrying(SimDuration::from_secs(60), SimDuration::from_secs(3), 4)
     };
     let run = |profile_seed: u64| {
-        run_cluster_resilient(
-            &cluster,
-            &cfg,
-            &trace,
-            &FaultPlan::none(),
-            ResilienceSetup {
-                net_plan: &NetFaultPlan::none(),
-                profile: &LinkFaultProfile::lossy(profile_seed, 0.15),
-                policy: &policy,
-            },
-        )
+        let setup = ResilienceSetup {
+            net_plan: &NetFaultPlan::none(),
+            profile: &LinkFaultProfile::lossy(profile_seed, 0.15),
+            policy: &policy,
+        };
+        simulate(&cluster, &cfg, &trace, resilient(setup))
     };
     let a = run(1);
     let b = run(2);
@@ -183,17 +184,12 @@ fn retry_policy_buys_availability_under_loss() {
     let cfg = EevfsConfig::paper_pf_replicated(70, 2);
     let profile = LinkFaultProfile::lossy(5, 0.25);
     let run = |policy: &RpcPolicy| {
-        run_cluster_resilient(
-            &cluster,
-            &cfg,
-            &trace,
-            &FaultPlan::none(),
-            ResilienceSetup {
-                net_plan: &NetFaultPlan::none(),
-                profile: &profile,
-                policy,
-            },
-        )
+        let setup = ResilienceSetup {
+            net_plan: &NetFaultPlan::none(),
+            profile: &profile,
+            policy,
+        };
+        simulate(&cluster, &cfg, &trace, resilient(setup))
     };
     let deadline = SimDuration::from_secs(60);
     let fail_fast = run(&RpcPolicy::no_retry(deadline));
@@ -213,7 +209,7 @@ fn crash_during_prefetch_replay_is_bit_identical() {
     // warm-up's disk tail is still rolling, two same-seed runs must
     // reproduce every statistic bit-identically — journal replays,
     // detection and repair counters, scrub energy, all of it.
-    use eevfs::driver::{run_cluster_durable, DurabilitySetup};
+    use eevfs::driver::DurabilitySetup;
     use eevfs::scrub::ScrubPolicy;
     use fault_model::{CorruptionPlan, CorruptionSpec, CrashPlan};
     use sim_core::SimTime;
@@ -237,8 +233,12 @@ fn crash_during_prefetch_replay_is_bit_identical() {
         scrub: ScrubPolicy::piggyback_default(),
         blocks_per_disk: 64,
     };
-    let a = run_cluster_durable(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
-    let b = run_cluster_durable(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
+    let durable = || Scenario {
+        durability: Some(setup),
+        ..Scenario::default()
+    };
+    let a = simulate(&cluster, &cfg, &trace, durable());
+    let b = simulate(&cluster, &cfg, &trace, durable());
     assert_eq!(a, b, "crash + corruption replay must be bit-identical");
     // The run exercised what it claims to reproduce.
     let d = &a.durability;
